@@ -95,59 +95,60 @@ def default_lambda_grid() -> list[float]:
     return [-float(2**k) for k in range(13, -1, -1)] + [0.0]
 
 
-def _class_edges(graph: SelectionGraph) -> dict[int, list[tuple[int, int, float]]]:
-    """Edges grouped by class label, endpoints unchanged (global ids)."""
-    grouped: dict[int, list[tuple[int, int, float]]] = {
-        int(c): [] for c in range(1, graph.n_classes + 1)
-    }
-    for i, j, w in zip(graph.edge_i, graph.edge_j, graph.edge_w):
-        grouped[int(graph.labels[i])].append((int(i), int(j), float(w)))
-    return grouped
+def _class_edges(
+    graph: SelectionGraph,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """``(ids, a, b, w)`` per nonempty class, for classes 1..C in order.
+
+    ``ids`` are the class's global face ids (ascending); ``a``, ``b`` are the
+    class's edge endpoints as local indices into ``ids``, and ``w`` their
+    weights, in the graph's edge order.
+    """
+    face_order = np.argsort(graph.labels, kind="stable")
+    bounds = np.arange(1, graph.n_classes + 2)
+    face_start = np.searchsorted(graph.labels[face_order], bounds)
+    rank = np.empty(graph.n_faces, dtype=np.int64)
+    rank[face_order] = np.arange(graph.n_faces)
+    edge_class = graph.labels[graph.edge_i]
+    edge_order = np.argsort(edge_class, kind="stable")
+    edge_start = np.searchsorted(edge_class[edge_order], bounds)
+    classes = []
+    for c in range(graph.n_classes):
+        lo, hi = face_start[c], face_start[c + 1]
+        if lo == hi:
+            continue
+        sel = edge_order[edge_start[c]:edge_start[c + 1]]
+        classes.append((face_order[lo:hi], rank[graph.edge_i[sel]] - lo,
+                        rank[graph.edge_j[sel]] - lo, graph.edge_w[sel]))
+    return classes
 
 
 def solve_class_cut(
-    unaries: np.ndarray, edges: list[tuple[int, int, float]], lam: float
-) -> tuple[np.ndarray, float, float]:
+    unaries: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray, lam: float
+) -> np.ndarray:
     """Exactly minimize one class's energy via min-cut.
 
-    ``edges`` use local face indices (a, b, w) with a < b. Returns
-    ``(alpha, cut_value, offset)`` where alpha is the canonical minimal
-    optimal labeling, cut_value is recomputed from the original capacities
-    across the returned partition, and cut_value + offset equals the class
-    energy of alpha.
+    Edges are given as arrays of local face indices ``a < b`` with weights
+    ``w``. Returns the canonical minimal optimal labeling as an int8 vector.
     """
     n = len(unaries)
-    u_mod = np.asarray(unaries, dtype=np.float64).copy()
-    for a, b, w in edges:
-        u_mod[b] += lam * w
+    u_mod = np.array(unaries, dtype=np.float64)
+    np.add.at(u_mod, b, lam * w)  # unbuffered: same accumulation order as a loop
 
+    # arcs in a fixed order: unary arcs by face, then pairwise arcs by edge
     s, t = n, n + 1
-    net = Dinic(n + 2)
-    original: list[tuple[int, int, int, float]] = []  # (edge id, u, v, capacity)
-    offset = 0.0
-    for k in range(n):
-        if u_mod[k] > 0.0:
-            eid = net.add_edge(s, k, u_mod[k])
-            original.append((eid, s, k, u_mod[k]))
-        elif u_mod[k] < 0.0:
-            eid = net.add_edge(k, t, -u_mod[k])
-            original.append((eid, k, t, -u_mod[k]))
-            offset += u_mod[k]
-    for a, b, w in edges:
-        c = -lam * w
-        if c > 0.0:
-            eid = net.add_edge(a, b, c)
-            original.append((eid, a, b, c))
-
+    unary = np.flatnonzero(u_mod != 0.0)
+    to_sink = u_mod[unary] < 0.0
+    c = -lam * w
+    pair = c > 0.0
+    net = Dinic(
+        n + 2,
+        np.concatenate([np.where(to_sink, unary, s), a[pair]]),
+        np.concatenate([np.where(to_sink, t, unary), b[pair]]),
+        np.concatenate([np.abs(u_mod[unary]), c[pair]]),
+    )
     net.max_flow(s, t)
-    reach = net.side_reaching_sink(t)
-    alpha = reach[:n].astype(np.int8)
-
-    cut_value = 0.0
-    for _, u, v, c in original:
-        if not reach[u] and reach[v]:
-            cut_value += c
-    return alpha, cut_value, offset
+    return net.side_reaching_sink(t)[:n].astype(np.int8)
 
 
 def minimize(graph: SelectionGraph, lam: float) -> tuple[SelectionMask, float]:
@@ -159,15 +160,8 @@ def minimize(graph: SelectionGraph, lam: float) -> tuple[SelectionMask, float]:
     _check_lambda(lam)
     graph.validate()
     alpha = np.zeros(graph.n_faces, dtype=np.int8)
-    grouped = _class_edges(graph)
-    for c in range(1, graph.n_classes + 1):
-        ids = graph.class_faces(c)
-        if len(ids) == 0:
-            continue
-        local = {int(g): k for k, g in enumerate(ids)}
-        edges = [(local[a], local[b], w) for a, b, w in grouped[c]]
-        a_local, _, _ = solve_class_cut(graph.unary[ids], edges, lam)
-        alpha[ids] = a_local
+    for ids, a, b, w in _class_edges(graph):
+        alpha[ids] = solve_class_cut(graph.unary[ids], a, b, w, lam)
     mask = SelectionMask(alpha)
     return mask, energy(graph, mask, lam)
 
@@ -203,18 +197,13 @@ def brute_force_minimize(graph: SelectionGraph, lam: float) -> tuple[SelectionMa
     _check_lambda(lam)
     graph.validate()
     alpha = np.zeros(graph.n_faces, dtype=np.int8)
-    grouped = _class_edges(graph)
-    for c in range(1, graph.n_classes + 1):
-        ids = graph.class_faces(c)
-        if len(ids) == 0:
-            continue
+    for ids, a, b, w in _class_edges(graph):
         if len(ids) > BRUTE_FORCE_CLASS_LIMIT:
             raise ValueError(
-                f"class {c} has {len(ids)} faces; brute force is limited to "
-                f"{BRUTE_FORCE_CLASS_LIMIT} per class"
+                f"class {int(graph.labels[ids[0]])} has {len(ids)} faces; brute force "
+                f"is limited to {BRUTE_FORCE_CLASS_LIMIT} per class"
             )
-        local = {int(g): k for k, g in enumerate(ids)}
-        edges = [(local[a], local[b], w) for a, b, w in grouped[c]]
+        edges = list(zip(a.tolist(), b.tolist(), w.tolist()))
         alpha[ids] = _brute_force_class(graph.unary[ids], edges, lam)
     mask = SelectionMask(alpha)
     return mask, energy(graph, mask, lam)

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import FormatError
+
 __all__ = [
     "ACTIVATIONS",
     "DEFAULT_PARAM_BUDGET",
@@ -261,25 +263,35 @@ def save_checkpoint(model: StudentModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> StudentModel:
+    """Read a checkpoint; a malformed file raises :class:`FormatError`."""
     blob = Path(path).read_bytes()
     magic, _, rest = blob.partition(b"\n")
     if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"not a student checkpoint: bad magic {magic[:16]!r}")
+        raise FormatError(f"not a student checkpoint: bad magic {magic[:16]!r}", line=1)
     meta_raw, _, payload = rest.partition(b"\n")
-    meta = json.loads(meta_raw)
-    arch_meta = dict(meta["arch"])
-    arch_meta["trunk"] = tuple(arch_meta["trunk"])
-    arch = StudentArch(**arch_meta)
+    try:
+        meta = json.loads(meta_raw)
+        arch_meta = dict(meta["arch"])
+        arch_meta["trunk"] = tuple(arch_meta["trunk"])
+        arch = StudentArch(**arch_meta)
+        seed = int(meta["seed"])
+        layer_meta = [
+            (int(lm["fan_in"]), int(lm["fan_out"]), lm["activation"], lm["name"],
+             bool(lm["trainable"]))
+            for lm in meta["layers"]
+        ]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"malformed checkpoint metadata: {exc!r}", line=2) from None
     layers = []
     offset = 0
-    for lm in meta["layers"]:
-        fi, fo = int(lm["fan_in"]), int(lm["fan_out"])
-        w_bytes = fo * fi * 8
+    for fi, fo, activation, name, trainable in layer_meta:
+        if offset + (fo * fi + fo) * 8 > len(payload):
+            raise FormatError("checkpoint payload is truncated")
         W = np.frombuffer(payload, dtype="<f8", count=fo * fi, offset=offset).reshape(fo, fi).copy()
-        offset += w_bytes
+        offset += fo * fi * 8
         b = np.frombuffer(payload, dtype="<f8", count=fo, offset=offset).copy()
         offset += fo * 8
-        layers.append(Layer(W, b, lm["activation"], lm["name"], bool(lm["trainable"])))
+        layers.append(Layer(W, b, activation, name, trainable))
     if offset != len(payload):
-        raise ValueError("checkpoint payload size mismatch")
-    return StudentModel(arch=arch, layers=layers, seed=int(meta["seed"]))
+        raise FormatError("checkpoint payload size mismatch")
+    return StudentModel(arch=arch, layers=layers, seed=seed)

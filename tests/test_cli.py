@@ -8,7 +8,7 @@ from skd.cli import main
 from skd.dataset import load_student_set
 from skd.mincut import load_mask, save_mask
 from skd.selgraph import SelectionMask
-from skd.student import load_checkpoint
+from skd.student import StudentArch, init_student, load_checkpoint, save_checkpoint
 
 
 def sha(path):
@@ -100,6 +100,44 @@ class TestErrors:
 
     def test_usage_error_exit_2(self):
         assert main(["select"]) == 2
+
+
+class TestMalformedCheckpoint:
+    """Every malformed checkpoint is a format error: exit 4, never a traceback."""
+
+    @pytest.fixture
+    def good_ckpt(self, tmp_path):
+        arch = StudentArch(input_dim=3, mimic_dim=8, class_count=3, trunk=(4,), identity_dim=4)
+        path = tmp_path / "good.ckpt"
+        save_checkpoint(init_student(arch, seed=0), path)
+        return path
+
+    def eval_outcome(self, toy_set, ckpt, capsys):
+        """(exit code, error kind printed on stderr) of ``skd eval --ckpt``."""
+        code = main(["eval", "--set", str(toy_set), "--ckpt", str(ckpt), "--task", "identify"])
+        err = capsys.readouterr().err.strip().splitlines()
+        return code, json.loads(err[-1])["error"] if err else None
+
+    def test_bad_magic(self, toy_set, good_ckpt, capsys):
+        good_ckpt.write_bytes(b"NOTACKPT" + good_ckpt.read_bytes()[8:])
+        assert self.eval_outcome(toy_set, good_ckpt, capsys) == (4, "format")
+
+    def test_truncated_payload(self, toy_set, good_ckpt, capsys):
+        good_ckpt.write_bytes(good_ckpt.read_bytes()[:-9])
+        assert self.eval_outcome(toy_set, good_ckpt, capsys) == (4, "format")
+
+    @staticmethod
+    def replace_metadata(ckpt, meta: bytes):
+        magic, _, rest = ckpt.read_bytes().partition(b"\n")
+        ckpt.write_bytes(magic + b"\n" + meta + b"\n" + rest.partition(b"\n")[2])
+
+    def test_non_json_metadata(self, toy_set, good_ckpt, capsys):
+        self.replace_metadata(good_ckpt, b"{not json")
+        assert self.eval_outcome(toy_set, good_ckpt, capsys) == (4, "format")
+
+    def test_empty_metadata_object(self, toy_set, good_ckpt, capsys):
+        self.replace_metadata(good_ckpt, b"{}")
+        assert self.eval_outcome(toy_set, good_ckpt, capsys) == (4, "format")
 
 
 class TestPipeline:

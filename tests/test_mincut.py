@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from skd.dataset import FormatError
+from skd.dataset import FormatError, SynthConfig, synthesize
 from skd.metric import class_centroids
 from skd.mincut import (
     brute_force_minimize,
@@ -16,6 +18,53 @@ from skd.mincut import (
 from skd.selgraph import SelectionGraph, SelectionMask, build_selection_graph, energy
 
 from test_selgraph import random_graph, three_face_set
+
+
+ADVERSARIAL_VALUES = (0.0, 1e-12, 1e-9, 1e-6, 0.5, 1.0, 2.0, 1e3, 1e6)
+ADVERSARIAL_LAMBDAS = (0.0, -1e-6, -0.5, -1.0, -1e3)
+
+
+def adversarial_graph(rng, max_classes=2, max_faces=7) -> SelectionGraph:
+    """Dense classes whose unaries and weights span 1e-12..1e6, with exact ties."""
+    sizes = [int(rng.integers(1, max_faces + 1)) for _ in range(int(rng.integers(1, max_classes + 1)))]
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes).astype(np.int64)
+    values = np.array(ADVERSARIAL_VALUES)
+    ei, ej = [], []
+    for c in range(1, len(sizes) + 1):
+        idx = np.flatnonzero(labels == c)
+        a, b = np.triu_indices(len(idx), k=1)
+        ei.append(idx[a])
+        ej.append(idx[b])
+    edge_i = np.concatenate(ei).astype(np.int64)
+    edge_j = np.concatenate(ej).astype(np.int64)
+    return SelectionGraph(
+        len(labels), len(sizes), labels, rng.choice(values, len(labels)),
+        edge_i, edge_j, rng.choice(values, len(edge_i)),
+    )
+
+
+def golden_cases():
+    """A fixed family of (graph, lambda) inputs covering the solver's regimes."""
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng)
+        for lam in (0.0, -0.25, -1.0, -3.0):
+            yield g, lam
+    for seed in range(60):
+        g = adversarial_graph(np.random.default_rng(1000 + seed))
+        for lam in ADVERSARIAL_LAMBDAS:
+            yield g, lam
+    s = synthesize(SynthConfig(C=3, per_class_count=40, D=16, d_in=4, N=1,
+                               noise_scale=0.3, outlier_fraction=0.1, seed=17))
+    g = build_selection_graph(s, class_centroids(s))
+    # the pow2 grid, plus points inside this set's transition window
+    for lam in default_lambda_grid() + [-0.1, -0.08, -0.076, -0.068, -0.06]:
+        yield g, lam
+
+
+# SHA-256 of every golden case's mask bytes and repr(energy), in order. The
+# solver must reproduce it bit for bit; a change here changes selections.
+GOLDEN_DIGEST = "caf519821f6add479c2dc379f0cd66c14626c0f4784ce9f748f7373803f16626"
 
 
 def single_face_graph(u: float) -> SelectionGraph:
@@ -69,6 +118,31 @@ class TestMinimize:
         assert mask.alpha.tolist() == [1, 1]
         assert e == pytest.approx(-0.7, abs=1e-12)
 
+    def test_long_chain_does_not_recurse(self):
+        # a 1,200-level residual path: a recursive augmenting search would
+        # exceed Python's recursion limit here
+        n = 1200
+        unary = np.full(n, 3.0)
+        unary[0], unary[-1] = 1.0, 0.0
+        g = SelectionGraph(
+            n, 1, np.ones(n, dtype=np.int64), unary,
+            np.arange(n - 1, dtype=np.int64), np.arange(1, n, dtype=np.int64),
+            np.ones(n - 1),
+        )
+        mask, e = minimize(g, -3.0)
+        assert mask.selected_count == n
+        assert e == -2.0
+
+
+class TestGolden:
+    def test_masks_and_energies_bit_identical(self):
+        h = hashlib.sha256()
+        for g, lam in golden_cases():
+            mask, e = minimize(g, lam)
+            h.update(mask.alpha.tobytes())
+            h.update(repr(e).encode("ascii"))
+        assert h.hexdigest() == GOLDEN_DIGEST
+
 
 class TestBruteForce:
     def test_single_positive_unary(self):
@@ -111,7 +185,24 @@ class TestOracleEquivalence:
                 for a in range(k) for b in range(a + 1, k)
             ]
             lam = -float(rng.uniform(0, 4))
-            alpha, cut, offset = solve_class_cut(unaries, edges, lam)
+            alpha = solve_class_cut(
+                unaries,
+                np.array([a for a, _, _ in edges], dtype=np.int64),
+                np.array([b for _, b, _ in edges], dtype=np.int64),
+                np.array([w for _, _, w in edges], dtype=np.float64),
+                lam,
+            )
+            # the reduction's network: lam * w folded into the higher endpoint,
+            # unary arcs s->k (u' > 0) or k->t (u' < 0), pairwise arcs a->b
+            u_mod = unaries.copy()
+            for _, b, w in edges:
+                u_mod[b] += lam * w
+            offset = float(u_mod[u_mod < 0.0].sum())
+            # an arc is cut when its tail is on the source side (alpha 0 or s)
+            # and its head on the sink side (alpha 1 or t)
+            cut = sum(u for u, sel in zip(u_mod, alpha) if u > 0.0 and sel)
+            cut += sum(-u for u, sel in zip(u_mod, alpha) if u < 0.0 and not sel)
+            cut += sum(-lam * w for a, b, w in edges if not alpha[a] and alpha[b])
             e = float(alpha @ unaries) + lam * sum(
                 w for a, b, w in edges if alpha[a] and alpha[b]
             )
