@@ -27,6 +27,7 @@ __all__ = [
     "make_transfer_benchmark",
     "default_arch_for",
     "select_informative",
+    "pretrain_variant",
     "train_variant",
     "supervision_comparison",
     "transfer_comparison",
@@ -114,22 +115,30 @@ def select_informative(sset: StudentSet, lam: float = SELECT_LAMBDA) -> Selectio
     return mask
 
 
-def train_variant(
-    bench: Benchmark, supervision: str, seed: int, mask: SelectionMask | None = None
-) -> tuple[StudentModel, float]:
-    """Pretrain + finetune one supervision variant; returns (model, AUC)."""
-    arch = default_arch_for(bench.train_set)
-    model = init_student(arch, seed)
+def pretrain_variant(bench: Benchmark, seed: int) -> StudentModel:
+    """Classification pretraining shared by every supervision variant."""
+    model = init_student(default_arch_for(bench.train_set), seed)
     pre_cfg = TrainConfig(
         supervision="c", learning_rate=LEARNING_RATE, batch_size=BATCH_SIZE,
         epochs=PRETRAIN_EPOCHS, seed=seed,
     )
-    model = pretrain_student(model, bench.train_set, pre_cfg)
+    return pretrain_student(model, bench.train_set, pre_cfg)
+
+
+def train_variant(
+    bench: Benchmark,
+    supervision: str,
+    seed: int,
+    mask: SelectionMask | None = None,
+    pretrained: StudentModel | None = None,
+) -> tuple[StudentModel, float]:
+    """Pretrain (unless ``pretrained`` is ``pretrain_variant(bench, seed)``'s
+    result) + finetune one supervision variant; returns (model, AUC)."""
+    model = pretrain_variant(bench, seed) if pretrained is None else pretrained
     if supervision in ("s", "sc") and mask is None:
         mask = select_informative(bench.train_set)
     fine_cfg = TrainConfig(
-        supervision=supervision, selection_lambda=SELECT_LAMBDA,
-        learning_rate=LEARNING_RATE, batch_size=BATCH_SIZE,
+        supervision=supervision, learning_rate=LEARNING_RATE, batch_size=BATCH_SIZE,
         epochs=FINETUNE_EPOCHS, seed=seed + 1,
     )
     model = finetune(model, bench.train_set, mask, fine_cfg)
@@ -143,8 +152,9 @@ def supervision_comparison(seeds: list[int], modes: tuple[str, ...] = ("c", "sc"
     for seed in seeds:
         bench = make_benchmark(seed)
         mask = select_informative(bench.train_set)
+        pretrained = pretrain_variant(bench, seed + 7)
         for mode in modes:
-            _, auc = train_variant(bench, mode, seed=seed + 7, mask=mask)
+            _, auc = train_variant(bench, mode, seed + 7, mask, pretrained)
             results[mode].append(auc)
     return results
 
@@ -206,8 +216,7 @@ def transfer_comparison(seed: int) -> tuple[float, float]:
     mask = select_informative(tb.source_set)
     source = finetune(
         source, tb.source_set, mask,
-        TrainConfig(supervision="sc", selection_lambda=SELECT_LAMBDA,
-                    learning_rate=LEARNING_RATE, batch_size=BATCH_SIZE,
+        TrainConfig(supervision="sc", learning_rate=LEARNING_RATE, batch_size=BATCH_SIZE,
                     epochs=TRANSFER_SOURCE_FINETUNE_EPOCHS, seed=seed + 1),
     )
 

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .dataset import FormatError, SynthConfig, load_student_set, save_student_set, synthesize
 from .distiller import (
+    SUPERVISION_MODES,
     TrainConfig,
     TrainingDiverged,
     finetune,
@@ -201,22 +202,13 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     sset = load_student_set(_require_file(args.set))
     model = load_checkpoint(_require_file(args.ckpt))
-    mask = None
-    lam = args.lam if args.lam is not None else 0.0
-    if args.supervision in ("s", "sc"):
-        if not args.mask:
-            raise ValueError(f"supervision {args.supervision!r} requires --mask")
-        mask, lam = load_mask(_require_file(args.mask))
-        if len(mask) != len(sset):
-            raise ValueError(f"mask covers {len(mask)} records, set has {len(sset)}")
+    mask = load_mask(_require_file(args.mask))[0] if args.mask else None
     config = TrainConfig(
         supervision=args.supervision,
-        selection_lambda=lam,
         learning_rate=args.lr,
         batch_size=args.batch_size,
         epochs=args.epochs,
         seed=args.seed,
-        measure=args.measure,
         reg_scale=args.reg_scale,
         normalize_targets=args.normalize_targets,
     )
@@ -282,6 +274,8 @@ def cmd_rerun(args) -> int:
     for key, value in echo["args"].items():
         if key == "command" or value is None or value is False:
             continue
+        if command == "finetune" and key in ("lam", "measure"):
+            continue  # echoes of finetune's removed --lambda/--measure, never read
         flag = "--" + key.replace("_", "-")
         if key == "lam":
             flag = "--lambda"
@@ -369,12 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--mask", default="", help="mask file (required for s/sc)")
-    p.add_argument("--supervision", choices=["c", "s", "sc", "dc"], default="sc")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="recorded when no mask file supplies it")
+    p.add_argument("--supervision", choices=SUPERVISION_MODES, default="sc")
     p.add_argument("--reg-scale", type=float, default=1.0)
     p.add_argument("--normalize-targets", action="store_true")
-    _add_measure(p)
     _add_train_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_finetune)

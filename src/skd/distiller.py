@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import StudentSet
-from .metric import MEASURES
 from .selgraph import SelectionMask
 from .student import (
     StudentArch,
@@ -59,12 +58,10 @@ class TrainConfig:
     """Hyperparameters for pretraining and fine-tuning."""
 
     supervision: str = "sc"
-    selection_lambda: float = -1.0
     learning_rate: float = 0.01
     batch_size: int = 32
     epochs: int = 50
     seed: int = 0
-    measure: str = "cossim"
     reg_scale: float = 1.0
     normalize_targets: bool = False
 
@@ -73,10 +70,6 @@ class TrainConfig:
             raise ValueError(
                 f"unknown supervision {self.supervision!r}; expected one of {SUPERVISION_MODES}"
             )
-        if self.measure not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}")
-        if self.selection_lambda > 0:
-            raise ValueError("selection_lambda must be nonpositive")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
         if self.batch_size < 1 or self.epochs < 0:
@@ -100,26 +93,20 @@ def _check_model_set(model: StudentModel, sset: StudentSet, need_classes: bool =
         )
 
 
-@dataclass
-class _Stacked:
-    """All (record, version) samples flattened into arrays."""
+def _stack(
+    sset: StudentSet, normalize_targets: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All (record, version) samples as rows: inputs, labels 1..C, targets.
 
-    X: np.ndarray        # (n*N, d_in)
-    y: np.ndarray        # (n*N,) labels 1..C
-    F: np.ndarray        # (n*N, D) regression targets
-    record_of: np.ndarray  # (n*N,) record position per row
-    n_records: int
-
-
-def _stack(sset: StudentSet, normalize_targets: bool = False) -> _Stacked:
+    Each record's N rows are contiguous, in record order.
+    """
     X = np.concatenate([np.stack(r.degraded_inputs) for r in sset.records]).astype(np.float64)
     y = np.repeat(sset.labels(), sset.N)
     F = np.repeat(sset.feature_matrix(), sset.N, axis=0)
     if normalize_targets:
         norms = np.linalg.norm(F, axis=1, keepdims=True)
         F = F / np.maximum(norms, 1e-300)
-    record_of = np.repeat(np.arange(len(sset)), sset.N)
-    return _Stacked(X=X, y=y, F=F, record_of=record_of, n_records=len(sset))
+    return X, y, F
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -132,17 +119,46 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=1, keepdims=True)
 
 
-def _mask_vector(mask: SelectionMask | None, supervision: str, n_records: int) -> np.ndarray:
-    """Per-record regression weights implied by the supervision signal."""
+def _supervision_terms(
+    mask: SelectionMask | None, supervision: str, n_records: int
+) -> tuple[np.ndarray, bool, bool]:
+    """Per-record regression weights and which terms the signal trains."""
+    if supervision not in SUPERVISION_MODES:
+        raise ValueError(
+            f"unknown supervision {supervision!r}; expected one of {SUPERVISION_MODES}"
+        )
+    use_cls = supervision != "s"
+    use_reg = supervision != "c"
     if supervision == "c":
-        return np.zeros(n_records)
+        return np.zeros(n_records), use_cls, use_reg
     if supervision == "dc":
-        return np.ones(n_records)
+        return np.ones(n_records), use_cls, use_reg
     if mask is None:
         raise ValueError(f"supervision {supervision!r} requires a selection mask")
     if len(mask) != n_records:
         raise ValueError(f"mask length {len(mask)} != {n_records} records")
-    return mask.alpha.astype(np.float64)
+    return mask.alpha.astype(np.float64), use_cls, use_reg
+
+
+def _objective(
+    model: StudentModel,
+    acts: list[np.ndarray],
+    y: np.ndarray,
+    F: np.ndarray,
+    alpha_rows: np.ndarray,
+    reg_scale: float,
+    use_cls: bool = True,
+    use_reg: bool = True,
+) -> tuple[float, float]:
+    """(cls, reg) of one forward trace; a term that is switched off is 0.0."""
+    cls = reg = 0.0
+    if use_cls:
+        logp = _log_softmax(acts[-1])
+        cls = float(-logp[np.arange(len(y)), y - 1].sum())
+    if use_reg:
+        diff = acts[model.mimic_index + 1] - F
+        reg = float(reg_scale * np.einsum("ij,ij->", diff * alpha_rows[:, None], diff))
+    return cls, reg
 
 
 def _loss_and_grads(
@@ -157,25 +173,18 @@ def _loss_and_grads(
 ) -> tuple[float, float, list[tuple[np.ndarray, np.ndarray]]]:
     """Sum losses and parameter gradients over one batch of samples."""
     acts, pres = forward_trace(model, X)
+    cls, reg = _objective(model, acts, y, F, alpha_rows, reg_scale, use_cls, use_reg)
     logits = acts[-1]
     mimic = acts[model.mimic_index + 1]
     n_layers = len(model.layers)
 
-    cls = 0.0
     d_logits = np.zeros_like(logits)
     if use_cls:
-        logp = _log_softmax(logits)
-        rows = np.arange(len(y))
-        cls = float(-logp[rows, y - 1].sum())
         d_logits = _softmax(logits)
-        d_logits[rows, y - 1] -= 1.0
-
-    reg = 0.0
+        d_logits[np.arange(len(y)), y - 1] -= 1.0
     d_mimic = np.zeros_like(mimic)
     if use_reg:
-        diff = (mimic - F) * alpha_rows[:, None]
-        reg = float(reg_scale * np.einsum("ij,ij->", diff, mimic - F))
-        d_mimic = 2.0 * reg_scale * diff
+        d_mimic = 2.0 * reg_scale * ((mimic - F) * alpha_rows[:, None])
 
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * n_layers  # type: ignore[list-item]
     delta = d_logits
@@ -190,13 +199,26 @@ def _loss_and_grads(
     return cls, reg, grads
 
 
+def _set_loss(
+    model: StudentModel,
+    sset: StudentSet,
+    mask: SelectionMask | None,
+    supervision: str,
+    reg_scale: float,
+    normalize_targets: bool,
+) -> tuple[float, float]:
+    """(cls, reg) over the whole set; a term the signal does not train is 0.0."""
+    alpha, use_cls, use_reg = _supervision_terms(mask, supervision, len(sset))
+    _check_model_set(model, sset, need_classes=use_cls)
+    X, y, F = _stack(sset, normalize_targets)
+    acts, _ = forward_trace(model, X)
+    alpha_rows = np.repeat(alpha, sset.N)
+    return _objective(model, acts, y, F, alpha_rows, reg_scale, use_cls, use_reg)
+
+
 def classification_loss(model: StudentModel, sset: StudentSet) -> float:
     """Softmax cross-entropy summed over every record and degraded version."""
-    _check_model_set(model, sset)
-    st = _stack(sset)
-    acts, _ = forward_trace(model, st.X)
-    logp = _log_softmax(acts[-1])
-    return float(-logp[np.arange(len(st.y)), st.y - 1].sum())
+    return _set_loss(model, sset, None, "c", 1.0, False)[0]
 
 
 def regression_loss(
@@ -207,15 +229,7 @@ def regression_loss(
     normalize_targets: bool = False,
 ) -> float:
     """Squared mimic-to-teacher error summed over selected records only."""
-    _check_model_set(model, sset, need_classes=False)
-    if len(mask) != len(sset):
-        raise ValueError(f"mask length {len(mask)} != {len(sset)} records")
-    st = _stack(sset, normalize_targets)
-    acts, _ = forward_trace(model, st.X)
-    mimic = acts[model.mimic_index + 1]
-    diff = mimic - st.F
-    weights = mask.alpha.astype(np.float64)[st.record_of]
-    return float(reg_scale * np.einsum("ij,ij->", diff * weights[:, None], diff))
+    return _set_loss(model, sset, mask, "s", reg_scale, normalize_targets)[1]
 
 
 def total_loss(
@@ -227,17 +241,8 @@ def total_loss(
     normalize_targets: bool = False,
 ) -> float:
     """Supervised objective value for one of the c/s/sc/dc signals."""
-    if supervision not in SUPERVISION_MODES:
-        raise ValueError(f"unknown supervision {supervision!r}")
-    weights = _mask_vector(mask, supervision, len(sset))
-    total = 0.0
-    if supervision in ("c", "sc", "dc"):
-        total += classification_loss(model, sset)
-    if supervision in ("s", "sc", "dc"):
-        total += regression_loss(
-            model, sset, SelectionMask(weights.astype(np.int8)), reg_scale, normalize_targets
-        )
-    return total
+    cls, reg = _set_loss(model, sset, mask, supervision, reg_scale, normalize_targets)
+    return cls + reg
 
 
 def _sgd_step(model: StudentModel, grads, lr: float) -> None:
@@ -265,10 +270,11 @@ def _train(
 ) -> StudentModel:
     _check_model_set(model, sset)
     model = model.copy()
-    st = _stack(sset, config.normalize_targets and use_reg)
+    X, y, F = _stack(sset, config.normalize_targets and use_reg)
+    alpha_rows = np.repeat(alpha, sset.N)
     rng = np.random.default_rng(config.seed)
-    n = st.n_records
-    per_record = [np.flatnonzero(st.record_of == i) for i in range(n)]
+    n = len(sset)
+    versions = np.arange(sset.N)
 
     handle = open(metrics_path, "w", encoding="ascii") if metrics_path is not None else None
     try:
@@ -276,15 +282,15 @@ def _train(
             order = rng.permutation(n)
             for start in range(0, n, config.batch_size):
                 recs = order[start : start + config.batch_size]
-                rows = np.concatenate([per_record[i] for i in recs])
+                rows = (recs[:, None] * sset.N + versions).ravel()
                 # overflow surfaces as a non-finite loss, handled below
                 with np.errstate(over="ignore", invalid="ignore"):
                     cls, reg, grads = _loss_and_grads(
                         model,
-                        st.X[rows],
-                        st.y[rows],
-                        st.F[rows],
-                        alpha[st.record_of[rows]],
+                        X[rows],
+                        y[rows],
+                        F[rows],
+                        alpha_rows[rows],
                         use_cls,
                         use_reg,
                         config.reg_scale,
@@ -298,14 +304,8 @@ def _train(
                 _sgd_step(model, grads, config.learning_rate)
             # Epoch log: full-set component values at the current parameters.
             with np.errstate(over="ignore", invalid="ignore"):
-                acts, _ = forward_trace(model, st.X)
-                logp = _log_softmax(acts[-1])
-                cls_full = float(-logp[np.arange(len(st.y)), st.y - 1].sum())
-                diff = acts[model.mimic_index + 1] - st.F
-                w_rows = alpha[st.record_of]
-                reg_full = float(
-                    config.reg_scale * np.einsum("ij,ij->", diff * w_rows[:, None], diff)
-                )
+                acts, _ = forward_trace(model, X)
+                cls_full, reg_full = _objective(model, acts, y, F, alpha_rows, config.reg_scale)
             total = cls_full * use_cls + reg_full * use_reg
             if not np.isfinite(total):
                 raise TrainingDiverged(
@@ -342,9 +342,7 @@ def finetune(
 
     ``mask`` is required for "s" and "sc", ignored for "c" and "dc".
     """
-    alpha = _mask_vector(mask, config.supervision, len(sset))
-    use_cls = config.supervision in ("c", "sc", "dc")
-    use_reg = config.supervision in ("s", "sc", "dc")
+    alpha, use_cls, use_reg = _supervision_terms(mask, config.supervision, len(sset))
     return _train(model, sset, alpha, config, use_cls, use_reg, metrics_path)
 
 
@@ -399,36 +397,24 @@ def gradient_check(
     central differences do not estimate the derivative. Relative error falls
     back to the absolute difference when both gradients are ~0.
     """
-    if supervision not in SUPERVISION_MODES:
-        raise ValueError(f"unknown supervision {supervision!r}")
+    alpha, use_cls, use_reg = _supervision_terms(mask, supervision, len(sset))
     if model.parameter_count() > 10_000:
         raise ValueError("gradient_check is for small models (<= 10^4 parameters)")
     _check_model_set(model, sset)
-    alpha = _mask_vector(mask, supervision, len(sset))
-    use_cls = supervision in ("c", "sc", "dc")
-    use_reg = supervision in ("s", "sc", "dc")
-    st = _stack(sset)
-    alpha_rows = alpha[st.record_of]
+    X, y, F = _stack(sset)
+    alpha_rows = np.repeat(alpha, sset.N)
 
     def loss_and_pattern(m: StudentModel) -> tuple[float, tuple]:
-        acts, pres = forward_trace(m, st.X)
+        acts, pres = forward_trace(m, X)
         pattern = tuple(
             (pres[k] > 0.0).tobytes()
             for k, layer in enumerate(m.layers)
             if layer.activation == "relu"
         )
-        total = 0.0
-        if use_cls:
-            logp = _log_softmax(acts[-1])
-            total += float(-logp[np.arange(len(st.y)), st.y - 1].sum())
-        if use_reg:
-            diff = acts[m.mimic_index + 1] - st.F
-            total += float(reg_scale * np.einsum("ij,ij->", diff * alpha_rows[:, None], diff))
-        return total, pattern
+        cls, reg = _objective(m, acts, y, F, alpha_rows, reg_scale, use_cls, use_reg)
+        return cls + reg, pattern
 
-    _, _, grads = _loss_and_grads(
-        model, st.X, st.y, st.F, alpha_rows, use_cls, use_reg, reg_scale
-    )
+    _, _, grads = _loss_and_grads(model, X, y, F, alpha_rows, use_cls, use_reg, reg_scale)
 
     coords = []
     for li, layer in enumerate(model.layers):

@@ -131,9 +131,6 @@ class StudentModel:
     def identity_index(self) -> int:
         return self.mimic_index + 1
 
-    def layer_specs(self) -> list[tuple[int, int, str]]:
-        return [(l.W.shape[1], l.W.shape[0], l.activation) for l in self.layers]
-
     def parameter_count(self) -> int:
         return sum(l.parameter_count() for l in self.layers)
 

@@ -6,6 +6,7 @@ import pytest
 
 from skd.cli import main
 from skd.dataset import load_student_set
+from skd.distiller import classification_loss, regression_loss, total_loss
 from skd.mincut import load_mask, save_mask
 from skd.selgraph import SelectionMask
 from skd.student import StudentArch, init_student, load_checkpoint, save_checkpoint
@@ -217,6 +218,27 @@ class TestPipeline:
                      "--out", str(d / "x.ckpt")])
         assert code == 5
 
+    def test_finetune_mask_length_mismatch_exit_5(self, tmp_path):
+        d = self.run_pipeline(tmp_path, "short", supervision="c")
+        short = d / "short.mask"
+        save_mask(short, SelectionMask.ones(5), -1.0)
+        code = main(["finetune", "--set", str(d / "set.skd"), "--ckpt", str(d / "pre.ckpt"),
+                     "--supervision", "sc", "--mask", str(short), "--epochs", "1",
+                     "--out", str(d / "x.ckpt")])
+        assert code == 5
+
+    def test_rerun_old_finetune_echo_with_measure_and_lambda(self, tmp_path):
+        # finetune echoes once recorded --measure and --lambda; rerun ignores them
+        d = self.run_pipeline(tmp_path, "oldecho")
+        echo_path = d / "fin.ckpt.config.json"
+        echo = json.loads(echo_path.read_text())
+        echo["args"].update({"measure": "cossim", "lam": -1.0})
+        echo_path.write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
+        original = (d / "fin.ckpt").read_bytes()
+        (d / "fin.ckpt").unlink()
+        assert main(["rerun", str(echo_path)]) == 0
+        assert (d / "fin.ckpt").read_bytes() == original
+
     def test_rerun_from_echo_reproduces(self, tmp_path):
         d = self.run_pipeline(tmp_path, "echo")
         mask_path = d / "sel.mask"
@@ -246,3 +268,49 @@ class TestPipeline:
                      "--supervision", "dc", "--epochs", "60", "--lr", "1e9",
                      "--out", str(d / "boom.ckpt")])
         assert code == 6
+
+
+class TestGoldenTrajectory:
+    """Pinned artifacts of a tiny synth -> select -> pretrain -> finetune run.
+
+    Any change to the numerics of selection or training changes this digest;
+    such a change must re-pin it and say why in CHANGES.md. The digest was
+    taken with numpy 2.4 and its bundled OpenBLAS on x86-64; another BLAS
+    may round the matrix products differently.
+    """
+
+    DIGEST = "f222a38a34d14beafa4f1fa46f355d68a9cddaf67181396545298a83df499969"
+    REG_SCALE = "0.3"
+
+    def listing(self, d):
+        assert main(synth_args(d / "set.skd", classes=3, per_class=6, teacher_dim=8,
+                               input_dim=3, versions=2, outlier_fraction=0.2, seed=5)) == 0
+        assert main(["select", "--set", str(d / "set.skd"), "--lambda", "-1",
+                     "--out", str(d / "sel.mask")]) == 0
+        assert main(["pretrain", "--set", str(d / "set.skd"), "--epochs", "3", "--lr", "1e-2",
+                     "--seed", "5", "--hidden", "6,6", "--identity-dim", "8",
+                     "--out", str(d / "pre.ckpt")]) == 0
+        sset = load_student_set(d / "set.skd")
+        mask, _ = load_mask(d / "sel.mask")
+        lines = []
+        for name in ("set.skd", "sel.mask", "pre.ckpt", "pre.ckpt.metrics.jsonl"):
+            lines.append(f"{name} {sha(d / name)}")
+        for mode in ("c", "s", "sc", "dc"):
+            out = d / f"{mode}.ckpt"
+            assert main(["finetune", "--set", str(d / "set.skd"), "--ckpt", str(d / "pre.ckpt"),
+                         "--mask", str(d / "sel.mask"), "--supervision", mode,
+                         "--reg-scale", self.REG_SCALE, "--epochs", "3", "--lr", "1e-2",
+                         "--seed", "6", "--out", str(out)]) == 0
+            lines.append(f"{mode}.ckpt {sha(out)}")
+            lines.append(f"{mode}.ckpt.metrics.jsonl {sha(d / (mode + '.ckpt.metrics.jsonl'))}")
+            model = load_checkpoint(out)
+            scale = float(self.REG_SCALE)
+            lines.append(f"{mode} cls {classification_loss(model, sset)!r}")
+            lines.append(f"{mode} reg {regression_loss(model, sset, mask, scale)!r}")
+            lines.append(f"{mode} total {total_loss(model, sset, mask, mode, scale)!r}")
+        return "\n".join(lines)
+
+    def test_digest(self, tmp_path):
+        listing = self.listing(tmp_path)
+        digest = hashlib.sha256(listing.encode()).hexdigest()
+        assert digest == self.DIGEST, listing

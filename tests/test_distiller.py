@@ -238,9 +238,32 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainConfig(supervision="x")
         with pytest.raises(ValueError):
-            TrainConfig(selection_lambda=0.5)
+            TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1)
+
+
+class TestNormalizeTargets:
+    """normalize_targets acts exactly as unit-normalizing the teacher features."""
+
+    def test_finetune_and_regression_loss_match_normalized_set(self):
+        sset = tiny_set(C=3, per_class=4, D=5, seed=26)
+        unit = tiny_set(C=3, per_class=4, D=5, seed=26)
+        F = unit.feature_matrix()
+        F = F / np.maximum(np.linalg.norm(F, axis=1, keepdims=True), 1e-300)
+        for record, f in zip(unit.records, F):
+            record.teacher_feature = f
+        model = init_student(arch_for(sset), seed=26)
+        mask = SelectionMask(np.array([1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 0, 1], dtype=np.int8))
+        cfg = dict(supervision="sc", learning_rate=1e-2, epochs=4, seed=8, reg_scale=0.5)
+        normalized = finetune(model, sset, mask, TrainConfig(normalize_targets=True, **cfg))
+        plain = finetune(model, unit, mask, TrainConfig(**cfg))
+        assert normalized.parameter_bytes() == plain.parameter_bytes()
+        raw = finetune(model, sset, mask, TrainConfig(**cfg))
+        assert raw.parameter_bytes() != plain.parameter_bytes()
+        assert regression_loss(model, sset, mask, 0.5, normalize_targets=True) == (
+            regression_loss(model, unit, mask, 0.5)
+        )
 
 
 class TestGradientCheck:
