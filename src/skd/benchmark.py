@@ -127,21 +127,18 @@ def pretrain_variant(bench: Benchmark, seed: int) -> StudentModel:
 
 def train_variant(
     bench: Benchmark,
+    pretrained: StudentModel,
     supervision: str,
     seed: int,
-    mask: SelectionMask | None = None,
-    pretrained: StudentModel | None = None,
+    mask: SelectionMask,
 ) -> tuple[StudentModel, float]:
-    """Pretrain (unless ``pretrained`` is ``pretrain_variant(bench, seed)``'s
-    result) + finetune one supervision variant; returns (model, AUC)."""
-    model = pretrain_variant(bench, seed) if pretrained is None else pretrained
-    if supervision in ("s", "sc") and mask is None:
-        mask = select_informative(bench.train_set)
+    """Finetune ``pretrain_variant(bench, seed)``'s model under one supervision
+    variant; returns (model, AUC)."""
     fine_cfg = TrainConfig(
         supervision=supervision, learning_rate=LEARNING_RATE, batch_size=BATCH_SIZE,
         epochs=FINETUNE_EPOCHS, seed=seed + 1,
     )
-    model = finetune(model, bench.train_set, mask, fine_cfg)
+    model = finetune(pretrained, bench.train_set, mask, fine_cfg)
     auc = evaluate_verification(model, bench.eval_pairs, tap="mimic")
     return model, auc
 
@@ -154,7 +151,7 @@ def supervision_comparison(seeds: list[int], modes: tuple[str, ...] = ("c", "sc"
         mask = select_informative(bench.train_set)
         pretrained = pretrain_variant(bench, seed + 7)
         for mode in modes:
-            _, auc = train_variant(bench, mode, seed + 7, mask, pretrained)
+            _, auc = train_variant(bench, pretrained, mode, seed + 7, mask)
             results[mode].append(auc)
     return results
 

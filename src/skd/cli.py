@@ -202,7 +202,9 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     sset = load_student_set(_require_file(args.set))
     model = load_checkpoint(_require_file(args.ckpt))
-    mask = load_mask(_require_file(args.mask))[0] if args.mask else None
+    mask = None
+    if args.mask and args.supervision in ("s", "sc"):  # c and dc never read a mask
+        mask = load_mask(_require_file(args.mask))[0]
     config = TrainConfig(
         supervision=args.supervision,
         learning_rate=args.lr,

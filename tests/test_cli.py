@@ -227,6 +227,15 @@ class TestPipeline:
                      "--out", str(d / "x.ckpt")])
         assert code == 5
 
+    def test_c_and_dc_ignore_mask_file(self, tmp_path):
+        # only s/sc read --mask, so c/dc succeed with a mask path that is missing
+        d = self.run_pipeline(tmp_path, "nomask", supervision="c")
+        for mode in ("c", "dc"):
+            code = main(["finetune", "--set", str(d / "set.skd"), "--ckpt", str(d / "pre.ckpt"),
+                         "--supervision", mode, "--mask", str(d / "gone.mask"),
+                         "--epochs", "1", "--out", str(d / f"{mode}.ckpt")])
+            assert code == 0
+
     def test_rerun_old_finetune_echo_with_measure_and_lambda(self, tmp_path):
         # finetune echoes once recorded --measure and --lambda; rerun ignores them
         d = self.run_pipeline(tmp_path, "oldecho")
