@@ -237,3 +237,176 @@ def test_synthesized_sets_roundtrip(tmp_path_factory, C, per_class, D, N, seed):
     p = tmp_path_factory.mktemp("rt") / "s.skd"
     save_student_set(s, p)
     assert sets_equal(s, load_student_set(p))
+
+
+# A hand-written SKD1 file: n=4 records, C=2, D=3, d_in=2, N=2 (13 lines).
+VALID_SKD1 = [
+    "SKD1 4 2 3 2 2",
+    "0,1,0,0.5,0.25,1.0",
+    "1,0.1,-0.2",
+    "2,0.3,0.4",
+    "1,1,1,0.75,0.0,0.125",
+    "1,-0.5,0.5",
+    "2,1e-3,2.5",
+    "2,2,-,0.2,0.4,0.6",
+    "1,0.0,-0.0",
+    "2,3.0,1e+300",
+    "3,2,0,1.5,0.0,5e-324",
+    "1,7.0,-8.0",
+    "2,0.9,0.1",
+]
+
+
+def _field(lineno: int, index: int, value: str):
+    """Edit that replaces one comma-separated field of a 1-based line."""
+    def edit(lines):
+        fields = lines[lineno - 1].split(",")
+        fields[index] = value
+        lines[lineno - 1] = ",".join(fields)
+    return edit
+
+
+def _line(lineno: int, text: str):
+    def edit(lines):
+        lines[lineno - 1] = text
+    return edit
+
+
+def _append(lineno: int, suffix: str):
+    def edit(lines):
+        lines[lineno - 1] += suffix
+    return edit
+
+
+def _drop_last_field(lineno: int):
+    def edit(lines):
+        lines[lineno - 1] = lines[lineno - 1].rsplit(",", 1)[0]
+    return edit
+
+
+def _insert(lineno: int, text: str):
+    def edit(lines):
+        lines.insert(lineno - 1, text)
+    return edit
+
+
+def _delete(lineno: int):
+    def edit(lines):
+        del lines[lineno - 1]
+    return edit
+
+
+# (case id, edits, exact message, line)
+FORMAT_ERROR_CASES = [
+    ("flag-x", [_field(2, 2, "x")], "bad outlier flag 'x' (expected 0, 1 or -)", 2),
+    ("flag-true", [_field(8, 2, "True")], "bad outlier flag 'True' (expected 0, 1 or -)", 8),
+    ("flag-empty", [_field(11, 2, "")], "bad outlier flag '' (expected 0, 1 or -)", 11),
+    ("version-repeated", [_field(4, 0, "1")], "degraded version index '1', expected 2", 4),
+    ("version-padded", [_field(6, 0, "01")], "degraded version index '01', expected 1", 6),
+    ("version-zero", [_field(12, 0, "0")], "degraded version index '0', expected 1", 12),
+    ("id-not-int", [_field(5, 0, "a")], "non-integer id or label", 5),
+    ("label-not-int", [_field(8, 1, "1.5")], "non-integer id or label", 8),
+    ("float-word", [_field(2, 4, "abc")],
+     "unparseable float field (could not convert string to float: 'abc')", 2),
+    ("float-empty-input", [_field(7, 2, "")],
+     "unparseable float field (could not convert string to float: '')", 7),
+    ("float-hex", [_field(9, 1, "0x10")],
+     "unparseable float field (could not convert string to float: '0x10')", 9),
+    ("float-bare-exponent", [_field(13, 1, "1e")],
+     "unparseable float field (could not convert string to float: '1e')", 13),
+    ("feature-nan", [_field(5, 3, "nan")], "non-finite value", 5),
+    ("feature-inf", [_field(8, 5, "-inf")], "non-finite value", 8),
+    ("feature-overflow", [_field(11, 3, "1e999")], "non-finite value", 11),
+    ("input-nan", [_field(3, 2, "NaN")], "non-finite value", 3),
+    ("input-inf", [_field(10, 1, "inf")], "non-finite value", 10),
+    ("feature-too-few", [_drop_last_field(2)],
+     "dimension mismatch: 2 feature values, expected 3", 2),
+    ("feature-too-many", [_append(5, ",0.5")],
+     "dimension mismatch: 4 feature values, expected 3", 5),
+    ("feature-trailing-comma", [_append(8, ",")],
+     "dimension mismatch: 4 feature values, expected 3", 8),
+    ("input-too-few", [_drop_last_field(3)],
+     "dimension mismatch: 1 input values, expected 2", 3),
+    ("input-too-many", [_append(9, ",0.5")],
+     "dimension mismatch: 3 input values, expected 2", 9),
+    ("input-trailing-comma", [_append(13, ",")],
+     "dimension mismatch: 3 input values, expected 2", 13),
+    ("ids-skip", [_field(5, 0, "5")],
+     "record ids must be dense 0..n-1; got id 5 at position 1", 1),
+    ("ids-swapped", [_field(8, 0, "3"), _field(11, 0, "2")],
+     "record ids must be dense 0..n-1; got id 3 at position 2", 1),
+    ("label-zero", [_field(8, 1, "0")], "record 2: label 0 outside 1..2", 1),
+    ("label-above-c", [_field(11, 1, "3")], "record 3: label 3 outside 1..2", 1),
+    ("all-zero-feature", [_field(5, 3, "0.0"), _field(5, 5, "-0.0")],
+     "record 1: all-zero teacher feature", 1),
+    ("too-few-lines", [_delete(13)], "expected 13 lines for 4 records, found 12", 12),
+    ("too-many-lines", [_insert(14, "2,0.9,0.1")],
+     "expected 13 lines for 4 records, found 14", 13),
+    ("blank-line-inserted", [_insert(7, "")], "expected 13 lines for 4 records, found 14", 13),
+    ("blank-feature-row", [_line(5, "")], "dimension mismatch: -2 feature values, expected 3", 5),
+    ("blank-input-row", [_line(6, "")], "dimension mismatch: 0 input values, expected 2", 6),
+    ("empty-class-header", [_line(1, "SKD1 4 3 3 2 2")],
+     "class 3 has no records (every class in 1..C must be nonempty)", 1),
+    ("empty-class-relabel", [_field(8, 1, "1"), _field(11, 1, "1")],
+     "class 2 has no records (every class in 1..C must be nonempty)", 1),
+    ("header-not-int", [_line(1, "SKD1 4 2 x 2 2")],
+     "malformed header (non-integer field)", 1),
+    ("header-zero-count", [_line(1, "SKD1 4 2 3 0 2")],
+     "malformed header (all counts must be >= 1)", 1),
+    # The first failing line wins, whichever kind of check fails there.
+    ("float-before-flag", [_field(3, 1, "zz"), _field(8, 2, "?")],
+     "unparseable float field (could not convert string to float: 'zz')", 3),
+    ("flag-before-float", [_field(2, 2, "?"), _field(3, 1, "zz")],
+     "bad outlier flag '?' (expected 0, 1 or -)", 2),
+    ("nan-before-version", [_field(6, 2, "nan"), _field(10, 0, "9")], "non-finite value", 6),
+    ("version-before-nan", [_field(4, 0, "9"), _field(6, 2, "nan")],
+     "degraded version index '9', expected 2", 4),
+    ("count-before-float", [_append(4, ",1"), _field(4, 1, "bad")],
+     "dimension mismatch: 3 input values, expected 2", 4),
+    ("int-before-float", [_field(5, 1, "one"), _field(5, 4, "bad")],
+     "non-integer id or label", 5),
+    ("line-error-before-set-error", [_field(2, 1, "7"), _field(12, 1, "x")],
+     "unparseable float field (could not convert string to float: 'x')", 12),
+    ("first-record-wins", [_field(11, 0, "9"), _field(5, 3, "0"), _field(5, 5, "0")],
+     "record 1: all-zero teacher feature", 1),
+    ("id-before-label", [_field(8, 0, "6"), _field(8, 1, "4")],
+     "record ids must be dense 0..n-1; got id 6 at position 2", 1),
+]
+
+
+class TestFormatErrors:
+    def test_valid_file_loads(self, tmp_path):
+        p = tmp_path / "s.skd"
+        p.write_text("\n".join(VALID_SKD1) + "\n\n\n")  # trailing blank lines are fine
+        s = load_student_set(p)
+        assert (len(s), s.C, s.D, s.d_in, s.N) == (4, 2, 3, 2, 2)
+        save_student_set(s, tmp_path / "again.skd")
+        assert (tmp_path / "again.skd").read_text().splitlines()[10] == "3,2,0,1.5,0.0,5e-324"
+
+    def test_float_fields_accept_what_float_accepts(self, tmp_path):
+        lines = list(VALID_SKD1)
+        for edit in (_field(2, 3, " 0.5"), _field(2, 4, "1_0"), _field(3, 1, "+.5"),
+                     _field(3, 2, "-2E-1\r"), _field(4, 1, "7.")):
+            edit(lines)
+        p = tmp_path / "s.skd"
+        p.write_text("\n".join(lines) + "\n")
+        s = load_student_set(p)
+        save_student_set(s, tmp_path / "again.skd")
+        written = (tmp_path / "again.skd").read_text().splitlines()
+        assert written[1:4] == ["0,1,0,0.5,10.0,1.0", "1,0.5,-0.2", "2,7.0,0.4"]
+
+    @pytest.mark.parametrize(
+        "edits,message,line",
+        [case[1:] for case in FORMAT_ERROR_CASES],
+        ids=[case[0] for case in FORMAT_ERROR_CASES],
+    )
+    def test_message_and_line(self, tmp_path, edits, message, line):
+        lines = list(VALID_SKD1)
+        for edit in edits:
+            edit(lines)
+        p = tmp_path / "bad.skd"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as exc:
+            load_student_set(p)
+        assert str(exc.value) == f"line {line}: {message}"
+        assert exc.value.line == line
