@@ -25,7 +25,7 @@ if __name__ == "__main__":
 
     bench = make_benchmark(args.seed)
     train = bench.train_set
-    flags = np.array([bool(r.outlier_flag) for r in train.records])
+    flags = train.outlier == 1
     graph = build_selection_graph(train, class_centroids(train))
     print(f"benchmark seed {args.seed}: {len(train)} faces, "
           f"{int(flags.sum())} planted outliers, {graph.intra_edge_count} intra edges")

@@ -7,7 +7,6 @@ feature regression.
 """
 
 from .dataset import (
-    FaceRecord,
     FormatError,
     StudentSet,
     SynthConfig,

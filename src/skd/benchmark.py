@@ -89,8 +89,9 @@ def make_benchmark(seed: int) -> Benchmark:
     eval_ids: list[int] = []
     for c in range(1, mother.C + 1):
         members = mother.class_members(c)
-        inliers = [i for i in members if not mother.records[i].outlier_flag]
-        outliers = [i for i in members if mother.records[i].outlier_flag]
+        # An unknown flag (-1) counts as an inlier.
+        inliers = [i for i in members if mother.outlier[i] != 1]
+        outliers = [i for i in members if mother.outlier[i] == 1]
         train_ids += inliers[:TRAIN_INLIERS_PER_CLASS] + outliers
         eval_ids += inliers[TRAIN_INLIERS_PER_CLASS:]
     train_set = subset_records(mother, train_ids)

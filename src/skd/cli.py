@@ -233,15 +233,10 @@ def cmd_eval(args) -> int:
         top1, top5 = evaluate_identification(model, sset)
         payload = {"task": "identify", "top1_error": top1, "top5_error": top5}
     else:  # retrieve: gallery = first record per class (teacher feature)
-        gallery = []
-        probe_label: dict[int, int] = {}
-        for c in range(1, sset.C + 1):
-            rid = sset.class_members(c)[0]
-            gallery.append((rid, sset.records[rid].teacher_feature))
-            probe_label[c] = rid
-        probes = [
-            (probe_label[r.label], x) for r in sset.records for x in r.degraded_inputs
-        ]
+        first = np.array([sset.class_members(c)[0] for c in range(1, sset.C + 1)])
+        gallery = [(rid, sset.features[rid]) for rid in first.tolist()]
+        probe_ids = np.repeat(first[sset.labels - 1], sset.N).tolist()
+        probes = list(zip(probe_ids, sset.inputs.reshape(-1, sset.d_in)))
         payload = {"task": "retrieve", "tap": args.tap,
                    "rank1_accuracy": evaluate_retrieval(model, gallery, probes, tap=args.tap)}
     text = json.dumps(payload, sort_keys=True)

@@ -1,10 +1,10 @@
-"""Student training set: records, text file format, synthetic generation.
+"""Student training set: columnar arrays, text file format, synthetic generation.
 
-A :class:`StudentSet` bundles, per sample, a teacher-extracted feature vector
+A :class:`StudentSet` holds, per sample, a teacher-extracted feature vector
 and ``N`` degraded input vectors standing in for low-resolution observations
-of the same identity. Degradation is modeled abstractly as a fixed lossy
-linear projection of the teacher feature plus per-version noise; no image
-handling happens anywhere in this package.
+of the same identity, as arrays indexed by record id. Degradation is modeled
+abstractly as a fixed lossy linear projection of the teacher feature plus
+per-version noise; no image handling happens anywhere in this package.
 
 The line-oriented ``SKD1`` text format round-trips sets exactly (floats are
 written with shortest round-trip precision). The synthetic generator plants
@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "FaceRecord",
     "StudentSet",
     "SynthConfig",
     "FormatError",
@@ -52,79 +51,80 @@ class FormatError(ValueError):
 
 
 @dataclass
-class FaceRecord:
-    """One training identity sample.
+class StudentSet:
+    """The student training set as columns indexed by record id 0..n-1.
 
-    ``teacher_feature`` is the D-dimensional embedding produced by the (out of
-    scope) teacher; ``degraded_inputs`` holds the N student-input vectors of
-    dimension d_in. ``outlier_flag`` is ground truth for synthetic data only.
+    ``labels`` (n,) are classes 1..C. ``features`` (n, D) are the embeddings
+    produced by the (out of scope) teacher. ``inputs`` (n, N, d_in) are the N
+    student-input vectors of each record. ``outlier`` (n,) is ground truth for
+    synthetic data only: 1 or 0, or -1 where unknown (the default). Columns
+    are stored as contiguous int64, float64, float64 and int8 arrays.
     """
 
-    id: int
-    label: int
-    teacher_feature: np.ndarray
-    degraded_inputs: list[np.ndarray]
-    outlier_flag: bool | None = None
-
-
-@dataclass
-class StudentSet:
-    """The student training set plus its shape parameters."""
-
-    records: list[FaceRecord]
+    labels: np.ndarray
+    features: np.ndarray
+    inputs: np.ndarray
     C: int
-    D: int
-    d_in: int
-    N: int
+    outlier: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
+        self.inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
+        if self.outlier is None:
+            self.outlier = np.full(len(self.labels), -1)
+        self.outlier = np.ascontiguousarray(self.outlier, dtype=np.int8)
+        columns = (self.labels, self.features, self.inputs, self.outlier)
+        if [c.ndim for c in columns] != [1, 2, 3, 1] or len({len(c) for c in columns}) != 1:
+            raise ValueError("column shapes disagree: " + ", ".join(str(c.shape) for c in columns))
+
+    @property
+    def D(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def N(self) -> int:
+        return self.inputs.shape[1]
+
+    @property
+    def d_in(self) -> int:
+        return self.inputs.shape[2]
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self.records], dtype=np.int64)
-
-    def feature_matrix(self) -> np.ndarray:
-        """(n, D) teacher features in record-id order."""
-        return np.stack([r.teacher_feature for r in self.records]).astype(np.float64)
+        return len(self.labels)
 
     def class_members(self, label: int) -> list[int]:
-        return [r.id for r in self.records if r.label == label]
+        return np.flatnonzero(self.labels == label).tolist()
 
-    def class_sizes(self) -> np.ndarray:
-        sizes = np.zeros(self.C, dtype=np.int64)
-        for r in self.records:
-            sizes[r.label - 1] += 1
-        return sizes
+    def validate(self, ids: np.ndarray | None = None) -> None:
+        """Raise ValueError on any invariant violation, naming the first bad record.
 
-    def validate(self) -> None:
-        """Raise ValueError on any invariant violation."""
-        if not self.records:
+        ``ids``, when given, are the record ids a file declared; they must be
+        dense 0..n-1.
+        """
+        n = len(self)
+        if n == 0:
             raise ValueError("student set has no records (C classes required)")
         if self.C < 1 or self.D < 1 or self.d_in < 1 or self.N < 1:
             raise ValueError("C, D, d_in, N must all be >= 1")
-        for pos, r in enumerate(self.records):
-            if r.id != pos:
-                raise ValueError(f"record ids must be dense 0..n-1; got id {r.id} at position {pos}")
-            if not (1 <= r.label <= self.C):
-                raise ValueError(f"record {r.id}: label {r.label} outside 1..{self.C}")
-            f = np.asarray(r.teacher_feature)
-            if f.shape != (self.D,):
-                raise ValueError(f"record {r.id}: teacher feature has shape {f.shape}, expected ({self.D},)")
-            if not np.all(np.isfinite(f)):
-                raise ValueError(f"record {r.id}: non-finite teacher feature")
-            if not np.any(f != 0.0):
-                raise ValueError(f"record {r.id}: all-zero teacher feature")
-            if len(r.degraded_inputs) != self.N:
-                raise ValueError(
-                    f"record {r.id}: {len(r.degraded_inputs)} degraded inputs, expected {self.N}"
-                )
-            for j, x in enumerate(r.degraded_inputs):
-                x = np.asarray(x)
-                if x.shape != (self.d_in,):
-                    raise ValueError(f"record {r.id}: degraded input {j} has shape {x.shape}")
-                if not np.all(np.isfinite(x)):
-                    raise ValueError(f"record {r.id}: non-finite degraded input {j}")
-        sizes = self.class_sizes()
+        ids = np.arange(n) if ids is None else ids
+        finite_inputs = np.isfinite(self.inputs).all(axis=2)
+        # Per-record checks, in the order each record is checked.
+        checks = [
+            (ids != np.arange(n), "record ids must be dense 0..n-1; got id {id} at position {i}"),
+            ((self.labels < 1) | (self.labels > self.C), "record {i}: label {label} outside 1..{C}"),
+            (~np.isfinite(self.features).all(axis=1), "record {i}: non-finite teacher feature"),
+            (~self.features.any(axis=1), "record {i}: all-zero teacher feature"),
+            (~finite_inputs.all(axis=1), "record {i}: non-finite degraded input {j}"),
+            (~np.isin(self.outlier, (-1, 0, 1)), "record {i}: outlier flag {flag} not in -1, 0, 1"),
+        ]
+        bad = np.stack([failed for failed, _ in checks])
+        if bad.any():
+            i = int(bad.any(axis=0).argmax())
+            raise ValueError(checks[int(bad[:, i].argmax())][1].format(
+                i=i, id=ids[i], label=self.labels[i], C=self.C,
+                j=int(finite_inputs[i].argmin()), flag=self.outlier[i]))
+        sizes = np.bincount(self.labels - 1, minlength=self.C)
         if np.any(sizes == 0):
             missing = int(np.argmin(sizes)) + 1
             raise ValueError(f"class {missing} has no records (every class in 1..C must be nonempty)")
@@ -156,37 +156,44 @@ class SynthConfig:
             raise ValueError("outlier_fraction must be in [0, 1)")
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+_FLAG_VALUE = {"0": 0, "1": 1, "-": -1}  # SKD1 outlier flag text
+_DECIMAL_CHARS = str.maketrans("", "", "0123456789.eE+-,")  # deleted by translate
 
 
 def save_student_set(sset: StudentSet, path: str | Path) -> None:
     """Write ``sset`` in the SKD1 text format. Round-trips exactly."""
     sset.validate()
-    lines = [f"SKD1 {len(sset)} {sset.C} {sset.D} {sset.d_in} {sset.N}"]
-    for r in sset.records:
-        flag = "-" if r.outlier_flag is None else ("1" if r.outlier_flag else "0")
-        head = [str(r.id), str(r.label), flag]
-        lines.append(",".join(head + [_fmt(v) for v in r.teacher_feature]))
-        for j, x in enumerate(r.degraded_inputs, start=1):
-            lines.append(",".join([str(j)] + [_fmt(v) for v in x]))
+    n, N = len(sset), sset.N
+    features = sset.features.tolist()
+    inputs = sset.inputs.reshape(n * N, sset.d_in).tolist()
+    lines = [f"SKD1 {n} {sset.C} {sset.D} {sset.d_in} {N}"]
+    for i, (label, flag) in enumerate(zip(sset.labels.tolist(), sset.outlier.tolist())):
+        # "01-"[-1] is "-": an unknown flag
+        lines.append(f"{i},{label},{'01-'[flag]}," + ",".join(map(repr, features[i])))
+        for j in range(N):
+            lines.append(f"{j + 1}," + ",".join(map(repr, inputs[i * N + j])))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _parse_floats(fields: list[str], lineno: int) -> np.ndarray:
-    try:
-        arr = np.array([float(v) for v in fields], dtype=np.float64)
-    except ValueError as exc:
-        raise FormatError(f"unparseable float field ({exc})", line=lineno) from None
-    if not np.all(np.isfinite(arr)):
-        raise FormatError("non-finite value", line=lineno)
-    return arr
+def _exact_values(lines: list[str], N: int) -> list[float]:
+    """``float()`` of every value field of SKD1 body ``lines`` (file line 2 on);
+    FormatError at the first line with an unparseable or non-finite value."""
+    values: list[float] = []
+    for lineno, line in enumerate(lines, start=2):
+        head = 3 if (lineno - 2) % (N + 1) == 0 else 1
+        try:
+            row = [float(v) for v in line.split(",")[head:]]
+        except ValueError as exc:
+            raise FormatError(f"unparseable float field ({exc})", line=lineno) from None
+        if not np.isfinite(row).all():
+            raise FormatError("non-finite value", line=lineno)
+        values += row
+    return values
 
 
 def load_student_set(path: str | Path) -> StudentSet:
     """Parse an SKD1 file. Raises FormatError naming the offending line."""
-    text = Path(path).read_text(encoding="ascii")
-    raw = text.split("\n")
+    raw = Path(path).read_text(encoding="ascii").split("\n")
     # Trailing blank lines are tolerated; blank lines elsewhere are not.
     while raw and raw[-1] == "":
         raw.pop()
@@ -210,49 +217,58 @@ def load_student_set(path: str | Path) -> StudentSet:
             line=min(len(raw), expected_lines),
         )
 
-    records: list[FaceRecord] = []
-    lineno = 1
-    for _ in range(n):
-        lineno += 1
-        fields = raw[lineno - 1].split(",")
-        if len(fields) != 3 + D:
-            raise FormatError(
-                f"dimension mismatch: {len(fields) - 3} feature values, expected {D}",
-                line=lineno,
-            )
-        try:
-            rid = int(fields[0])
-            label = int(fields[1])
-        except ValueError:
-            raise FormatError("non-integer id or label", line=lineno) from None
-        if fields[2] == "-":
-            flag: bool | None = None
-        elif fields[2] in ("0", "1"):
-            flag = fields[2] == "1"
-        else:
-            raise FormatError(f"bad outlier flag {fields[2]!r} (expected 0, 1 or -)", line=lineno)
-        feature = _parse_floats(fields[3:], lineno)
-
-        degraded: list[np.ndarray] = []
-        for j in range(1, N + 1):
-            lineno += 1
-            fields = raw[lineno - 1].split(",")
-            if len(fields) != 1 + d_in:
-                raise FormatError(
-                    f"dimension mismatch: {len(fields) - 1} input values, expected {d_in}",
-                    line=lineno,
-                )
-            if fields[0] != str(j):
-                raise FormatError(f"degraded version index {fields[0]!r}, expected {j}", line=lineno)
-            degraded.append(_parse_floats(fields[1:], lineno))
-        records.append(FaceRecord(rid, label, feature, degraded, flag))
-
-    sset = StudentSet(records=records, C=C, D=D, d_in=d_in, N=N)
+    # Per-line string checks; the value fields of each line are kept as text.
+    ids, labels, flags, fields = [], [], [], []
     try:
-        sset.validate()
-    except ValueError as exc:
-        # Set-level violations (missing class, non-dense ids) are anchored to
-        # the header line that declared the shape.
+        for lineno, line in enumerate(raw[1:], start=2):
+            j = (lineno - 2) % (N + 1)  # 0 on a record's feature line, else the version
+            if j == 0:
+                if line.count(",") != 2 + D:
+                    raise FormatError(f"dimension mismatch: {line.count(',') - 2} feature "
+                                      f"values, expected {D}", line=lineno)
+                rid, label, flag, rest = line.split(",", 3)
+                try:
+                    ids.append(int(rid))
+                    labels.append(int(label))
+                except ValueError:
+                    raise FormatError("non-integer id or label", line=lineno) from None
+                if flag not in _FLAG_VALUE:
+                    raise FormatError(f"bad outlier flag {flag!r} (expected 0, 1 or -)", line=lineno)
+                flags.append(_FLAG_VALUE[flag])
+            else:
+                if line.count(",") != d_in:
+                    raise FormatError(f"dimension mismatch: {line.count(',')} input values, "
+                                      f"expected {d_in}", line=lineno)
+                version, rest = line.split(",", 1)
+                if version != str(j):
+                    raise FormatError(f"degraded version index {version!r}, expected {j}", line=lineno)
+            fields.append(rest)
+    except FormatError as exc:
+        _exact_values(raw[1 : exc.line - 1], N)  # a bad value on an earlier line comes first
+        raise
+
+    # One bulk parse. Over plain decimal literals (the only characters below)
+    # numpy's parser and float() accept the same fields and round alike; any
+    # other text, a short parse or a non-finite value takes the exact path,
+    # which also names the offending line.
+    body = ",".join(fields)
+    del fields  # the text is held once, not twice, while it is parsed
+    values = None
+    if not body.translate(_DECIMAL_CHARS):
+        try:
+            values = np.fromstring(body, sep=",")
+        except ValueError:
+            pass
+    if values is None or values.size != n * (D + N * d_in) or not np.isfinite(values).all():
+        values = np.array(_exact_values(raw[1:], N))
+    values = values.reshape(n, D + N * d_in)
+
+    try:
+        sset = StudentSet(labels, values[:, :D], values[:, D:].reshape(n, N, d_in), C, flags)
+        sset.validate(ids=np.array(ids))
+    except (ValueError, OverflowError) as exc:
+        # Set-level violations (missing class, non-dense ids, a label past
+        # int64) are anchored to the header line that declared the shape.
         raise FormatError(str(exc), line=1) from None
     return sset
 
@@ -298,8 +314,9 @@ def synthesize(config: SynthConfig) -> StudentSet:
                 return f
         raise RuntimeError("could not draw a nonzero teacher feature; noise_scale too large")
 
-    records: list[FaceRecord] = []
-    rid = 0
+    labels = np.repeat(np.arange(1, C + 1), K)
+    features, inputs = np.empty((C * K, D)), np.empty((C * K, N, d_in))
+    outlier = np.zeros(C * K, dtype=np.int8)
     for c in range(C):
         others = [o for o in range(C) if o != c]
         if n_out > 0:
@@ -308,23 +325,27 @@ def synthesize(config: SynthConfig) -> StudentSet:
         else:
             wrong = np.array([], dtype=np.int64)
         for i in range(K):
+            rid = c * K + i
             if i < K - n_out:
-                feature = draw_feature(centroids[c], config.noise_scale)
-                appearance = feature
-                flag = False
+                features[rid] = draw_feature(centroids[c], config.noise_scale)
+                appearance = features[rid]
             else:
-                feature = draw_feature(centroids[wrong[i - (K - n_out)]], config.noise_scale)
+                features[rid] = draw_feature(centroids[wrong[i - (K - n_out)]], config.noise_scale)
                 appearance = draw_feature(centroids[c], config.noise_scale)
-                flag = True
+                outlier[rid] = 1
             proj = projection @ appearance
             sigma = DEGRADATION_NOISE_FACTOR * np.linalg.norm(proj) / np.sqrt(d_in)
-            degraded = [proj + sigma * rng.normal(size=d_in) for _ in range(N)]
-            records.append(FaceRecord(rid, c + 1, feature, degraded, flag))
-            rid += 1
+            inputs[rid] = proj + sigma * rng.normal(size=(N, d_in))
 
-    sset = StudentSet(records=records, C=C, D=D, d_in=d_in, N=N)
+    sset = StudentSet(labels, features, inputs, C, outlier)
     sset.validate()
     return sset
+
+
+def _take(sset: StudentSet, rows: np.ndarray, labels: np.ndarray, C: int) -> StudentSet:
+    out = StudentSet(labels[rows], sset.features[rows], sset.inputs[rows], C, sset.outlier[rows])
+    out.validate()
+    return out
 
 
 def subset_records(sset: StudentSet, record_ids: list[int]) -> StudentSet:
@@ -332,31 +353,12 @@ def subset_records(sset: StudentSet, record_ids: list[int]) -> StudentSet:
 
     Labels are kept; every class of the parent must remain represented.
     """
-    chosen = sorted(set(record_ids))
-    records = []
-    for new_id, old_id in enumerate(chosen):
-        r = sset.records[old_id]
-        records.append(
-            FaceRecord(new_id, r.label, r.teacher_feature.copy(),
-                       [x.copy() for x in r.degraded_inputs], r.outlier_flag)
-        )
-    out = StudentSet(records=records, C=sset.C, D=sset.D, d_in=sset.d_in, N=sset.N)
-    out.validate()
-    return out
+    return _take(sset, np.unique(np.asarray(record_ids, dtype=np.int64)), sset.labels, sset.C)
 
 
 def subset_classes(sset: StudentSet, class_labels: list[int]) -> StudentSet:
     """New StudentSet restricted to ``class_labels``, relabeled densely 1..k."""
-    relabel = {old: new + 1 for new, old in enumerate(class_labels)}
-    records = []
-    new_id = 0
-    for r in sset.records:
-        if r.label in relabel:
-            records.append(
-                FaceRecord(new_id, relabel[r.label], r.teacher_feature.copy(),
-                           [x.copy() for x in r.degraded_inputs], r.outlier_flag)
-            )
-            new_id += 1
-    out = StudentSet(records=records, C=len(class_labels), D=sset.D, d_in=sset.d_in, N=sset.N)
-    out.validate()
-    return out
+    relabeled = np.zeros(len(sset), dtype=np.int64)
+    for new, old in enumerate(class_labels, start=1):
+        relabeled[sset.labels == old] = new
+    return _take(sset, np.flatnonzero(relabeled), relabeled, len(class_labels))

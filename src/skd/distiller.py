@@ -100,9 +100,9 @@ def _stack(
 
     Each record's N rows are contiguous, in record order.
     """
-    X = np.concatenate([np.stack(r.degraded_inputs) for r in sset.records]).astype(np.float64)
-    y = np.repeat(sset.labels(), sset.N)
-    F = np.repeat(sset.feature_matrix(), sset.N, axis=0)
+    X = sset.inputs.reshape(-1, sset.d_in)
+    y = np.repeat(sset.labels, sset.N)
+    F = np.repeat(sset.features, sset.N, axis=0)
     if normalize_targets:
         norms = np.linalg.norm(F, axis=1, keepdims=True)
         F = F / np.maximum(norms, 1e-300)
@@ -325,6 +325,9 @@ def pretrain_student(
     metrics_path: str | Path | None = None,
 ) -> StudentModel:
     """Classification-only initialization over all records; returns a new model."""
+    if config.supervision != "c" or config.normalize_targets:
+        raise ValueError("pretraining is classification-only: it needs supervision='c' "
+                         "and normalize_targets=False")
     return _train(
         model, sset, np.zeros(len(sset)), config,
         use_cls=True, use_reg=False, metrics_path=metrics_path,

@@ -71,8 +71,8 @@ def evaluate_identification(model: StudentModel, sset: StudentSet) -> tuple[floa
         raise ValueError(
             f"set labels reach {sset.C}, model has {model.arch.class_count} classes"
         )
-    X = np.concatenate([np.stack(r.degraded_inputs) for r in sset.records])
-    y = np.repeat(sset.labels(), sset.N)
+    X = sset.inputs.reshape(-1, sset.d_in)
+    y = np.repeat(sset.labels, sset.N)
     acts, _ = forward_trace(model, X)
     order = np.argsort(-acts[-1], axis=1, kind="stable")
     position = np.argmax(order == (y - 1)[:, None], axis=1)
@@ -125,7 +125,7 @@ def make_verification_pairs(
         raise ValueError("need a class with at least two records for positive pairs")
 
     def pick_version(rid: int) -> np.ndarray:
-        return sset.records[rid].degraded_inputs[rng.integers(sset.N)]
+        return sset.inputs[rid, rng.integers(sset.N)]
 
     pairs: list[tuple[np.ndarray, np.ndarray, bool]] = []
     for _ in range(n_pos):

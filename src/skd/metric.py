@@ -76,14 +76,12 @@ class CentroidTable:
 def class_centroids(sset: StudentSet) -> CentroidTable:
     """Exact arithmetic mean of teacher features per class.
 
-    Summation is sequential in record-id order so results are reproducible.
-    Raises ValueError if any class is empty.
+    Summation is sequential in record-id order (``np.add.at`` is unbuffered)
+    so results are reproducible. Raises ValueError if any class is empty.
     """
     sums = np.zeros((sset.C, sset.D), dtype=np.float64)
-    counts = np.zeros(sset.C, dtype=np.int64)
-    for r in sset.records:
-        sums[r.label - 1] += np.asarray(r.teacher_feature, dtype=np.float64)
-        counts[r.label - 1] += 1
+    np.add.at(sums, sset.labels - 1, sset.features)
+    counts = np.bincount(sset.labels - 1, minlength=sset.C)
     if np.any(counts == 0):
         empty = int(np.argmin(counts)) + 1
         raise ValueError(f"class {empty} is empty; centroid undefined")

@@ -116,8 +116,8 @@ def build_selection_graph(
     """
     if centroids.C != sset.C:
         raise ValueError(f"centroid table has {centroids.C} classes, set has {sset.C}")
-    F = sset.feature_matrix()
-    labels = sset.labels()
+    F = sset.features
+    labels = sset.labels
     n = len(sset)
 
     face_cent = measure_matrix(F, centroids.centroids, measure)  # (n, C)

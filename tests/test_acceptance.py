@@ -18,7 +18,7 @@ from skd.benchmark import (
     transfer_comparison,
 )
 from skd.cli import main
-from skd.dataset import FaceRecord, StudentSet, SynthConfig, load_student_set, synthesize
+from skd.dataset import StudentSet, SynthConfig, load_student_set, synthesize
 from skd.distiller import TrainConfig, finetune, gradient_check, pretrain_student, transfer_student
 from skd.metric import class_centroids, pairwise_measure
 from skd.mincut import brute_force_minimize, default_lambda_grid, lambda_sweep, load_mask, minimize
@@ -71,13 +71,9 @@ def test_criterion_3_graph_structure():
     for _ in range(25):
         C = int(rng.integers(1, 7))
         sizes = [int(rng.integers(1, 9)) for _ in range(C)]
-        records, rid = [], 0
-        for c, k in enumerate(sizes, start=1):
-            for _ in range(k):
-                records.append(FaceRecord(rid, c, rng.uniform(0.05, 1.0, 6),
-                                          [np.zeros(2)], None))
-                rid += 1
-        sset = StudentSet(records, C=C, D=6, d_in=2, N=1)
+        labels = np.repeat(np.arange(1, C + 1), sizes)
+        features = [rng.uniform(0.05, 1.0, 6) for _ in labels]
+        sset = StudentSet(labels, features, np.zeros((len(labels), 1, 2)), C=C)
         g = build_selection_graph(sset, class_centroids(sset))
         assert g.node_count == sum(sizes) + C
         assert g.intra_edge_count == sum(k * (k - 1) // 2 for k in sizes)
@@ -90,7 +86,7 @@ def test_criterion_4_planted_outlier_discarding():
     bench = make_benchmark(seed=1)
     train = bench.train_set
     assert train.C == 10 and len(train) == 300
-    flags = np.array([bool(r.outlier_flag) for r in train.records])
+    flags = train.outlier == 1
     assert flags.sum() == 30  # 10% planted
     g = build_selection_graph(train, class_centroids(train))
     best = None
@@ -165,12 +161,8 @@ def test_criterion_8_metric_exactness():
     # centroid exactness vs compensated-summation oracle
     import math
     feats = [[rng.uniform(0.0, 1.0, 12) for _ in range(40)] for _ in range(4)]
-    records, rid = [], 0
-    for c, fs in enumerate(feats, start=1):
-        for f in fs:
-            records.append(FaceRecord(rid, c, f, [np.zeros(1)], None))
-            rid += 1
-    sset = StudentSet(records, C=4, D=12, d_in=1, N=1)
+    sset = StudentSet(np.repeat(np.arange(1, 5), 40), np.concatenate(feats),
+                      np.zeros((160, 1, 1)), C=4)
     table = class_centroids(sset)
     for c in range(4):
         oracle = np.array([math.fsum(f[d] for f in feats[c]) / 40 for d in range(12)])

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skd.dataset import (
-    FaceRecord,
     FormatError,
     StudentSet,
     SynthConfig,
@@ -20,20 +19,13 @@ from skd.dataset import (
 
 def make_set(n_per_class=2, C=2, D=4, d_in=2, N=2, seed=0):
     rng = np.random.default_rng(seed)
-    records = []
-    rid = 0
-    for c in range(1, C + 1):
-        for _ in range(n_per_class):
-            records.append(
-                FaceRecord(
-                    rid, c,
-                    rng.uniform(0.1, 1.0, D),
-                    [rng.normal(size=d_in) for _ in range(N)],
-                    None,
-                )
-            )
-            rid += 1
-    s = StudentSet(records, C=C, D=D, d_in=d_in, N=N)
+    n = C * n_per_class
+    features = np.empty((n, D))
+    inputs = np.empty((n, N, d_in))
+    for i in range(n):
+        features[i] = rng.uniform(0.1, 1.0, D)
+        inputs[i] = [rng.normal(size=d_in) for _ in range(N)]
+    s = StudentSet(np.repeat(np.arange(1, C + 1), n_per_class), features, inputs, C=C)
     s.validate()
     return s
 
@@ -41,15 +33,8 @@ def make_set(n_per_class=2, C=2, D=4, d_in=2, N=2, seed=0):
 def sets_equal(a: StudentSet, b: StudentSet) -> bool:
     if (a.C, a.D, a.d_in, a.N, len(a)) != (b.C, b.D, b.d_in, b.N, len(b)):
         return False
-    for ra, rb in zip(a.records, b.records):
-        if (ra.id, ra.label, ra.outlier_flag) != (rb.id, rb.label, rb.outlier_flag):
-            return False
-        if not np.array_equal(ra.teacher_feature, rb.teacher_feature):
-            return False
-        for xa, xb in zip(ra.degraded_inputs, rb.degraded_inputs):
-            if not np.array_equal(xa, xb):
-                return False
-    return True
+    return all(np.array_equal(getattr(a, col), getattr(b, col))
+               for col in ("labels", "outlier", "features", "inputs"))
 
 
 class TestFileFormat:
@@ -124,27 +109,24 @@ class TestFileFormat:
             load_student_set(p)
 
     def test_save_empty_records_errors(self, tmp_path):
-        s = StudentSet([], C=1, D=2, d_in=1, N=1)
+        s = StudentSet(np.zeros(0), np.zeros((0, 2)), np.zeros((0, 1, 1)), C=1)
         with pytest.raises(ValueError, match="no records"):
             save_student_set(s, tmp_path / "x.skd")
 
     def test_single_record_line_count(self, tmp_path):
-        rec = FaceRecord(0, 1, np.array([0.5, 0.25]), [np.array([1.0])] * 3, None)
-        s = StudentSet([rec], C=1, D=2, d_in=1, N=3)
+        s = StudentSet([1], [[0.5, 0.25]], np.ones((1, 3, 1)), C=1)
         p = tmp_path / "one.skd"
         save_student_set(s, p)
         assert len(p.read_text().splitlines()) == 1 + 1 + 3
 
     def test_outlier_flag_roundtrip(self, tmp_path):
         s = make_set(n_per_class=3, C=1)
-        s.records[0].outlier_flag = True
-        s.records[1].outlier_flag = False
+        s.outlier[0] = 1
+        s.outlier[1] = 0
         p = tmp_path / "s.skd"
         save_student_set(s, p)
         loaded = load_student_set(p)
-        assert loaded.records[0].outlier_flag is True
-        assert loaded.records[1].outlier_flag is False
-        assert loaded.records[2].outlier_flag is None
+        assert loaded.outlier.tolist() == [1, 0, -1]
 
 
 class TestSynthesize:
@@ -152,7 +134,7 @@ class TestSynthesize:
         s = synthesize(SynthConfig(C=3, per_class_count=4, D=8, d_in=2, N=1,
                                    noise_scale=0.0, outlier_fraction=0.0, seed=5))
         for c in range(1, 4):
-            feats = [s.records[i].teacher_feature for i in s.class_members(c)]
+            feats = s.features[s.class_members(c)]
             for f in feats[1:]:
                 assert np.array_equal(f, feats[0])
             assert math.isclose(float(np.linalg.norm(feats[0])), 1.0, rel_tol=1e-12)
@@ -161,14 +143,14 @@ class TestSynthesize:
         s = synthesize(SynthConfig(C=2, per_class_count=5, D=4, d_in=2, N=1,
                                    noise_scale=0.1, outlier_fraction=0.2, seed=1))
         for c in (1, 2):
-            flags = [s.records[i].outlier_flag for i in s.class_members(c)]
+            flags = s.outlier[s.class_members(c)].tolist()
             assert sum(flags) == 1
 
     def test_ten_percent_of_thirty_is_three(self):
         s = synthesize(SynthConfig(C=2, per_class_count=30, D=16, d_in=4, N=1,
                                    noise_scale=0.1, outlier_fraction=0.1, seed=1))
         for c in (1, 2):
-            flags = [s.records[i].outlier_flag for i in s.class_members(c)]
+            flags = s.outlier[s.class_members(c)].tolist()
             assert sum(flags) == 3
 
     def test_determinism(self):
@@ -184,8 +166,7 @@ class TestSynthesize:
     def test_features_nonnegative(self):
         s = synthesize(SynthConfig(C=4, per_class_count=10, D=8, d_in=4, N=2,
                                    noise_scale=0.8, outlier_fraction=0.2, seed=9))
-        for r in s.records:
-            assert np.all(r.teacher_feature >= 0.0)
+        assert np.all(s.features >= 0.0)
 
     def test_too_many_outliers_errors(self):
         with pytest.raises(ValueError, match="no inliers"):
@@ -206,8 +187,9 @@ class TestSubsets:
     def test_subset_records_reindexes(self):
         s = make_set(n_per_class=3, C=2)
         sub = subset_records(s, [0, 2, 3, 5])
-        assert [r.id for r in sub.records] == [0, 1, 2, 3]
-        assert np.array_equal(sub.records[1].teacher_feature, s.records[2].teacher_feature)
+        assert len(sub) == 4
+        for col in ("labels", "outlier", "features", "inputs"):
+            assert np.array_equal(getattr(sub, col), getattr(s, col)[[0, 2, 3, 5]])
 
     def test_subset_records_requires_all_classes(self):
         s = make_set(n_per_class=2, C=2)
@@ -218,7 +200,7 @@ class TestSubsets:
         s = make_set(n_per_class=2, C=3)
         sub = subset_classes(s, [2, 3])
         assert sub.C == 2
-        assert sorted(set(r.label for r in sub.records)) == [1, 2]
+        assert sorted(set(sub.labels.tolist())) == [1, 2]
         assert len(sub) == 4
 
 
@@ -238,6 +220,43 @@ def test_synthesized_sets_roundtrip(tmp_path_factory, C, per_class, D, N, seed):
     save_student_set(s, p)
     assert sets_equal(s, load_student_set(p))
 
+
+# Nonzero magnitudes from the smallest subnormal to 1e300, either sign.
+_signed = st.tuples(st.booleans(), st.floats(min_value=5e-324, max_value=1e300)).map(
+    lambda t: -t[1] if t[0] else t[1]
+)
+
+
+@st.composite
+def student_sets(draw):
+    C, per_class = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    D, d_in, N = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = C * per_class
+    features = draw(st.lists(_signed, min_size=n * D, max_size=n * D))
+    inputs = draw(st.lists(st.one_of(st.just(-0.0), _signed),
+                           min_size=n * N * d_in, max_size=n * N * d_in))
+    outlier = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n))
+    return StudentSet(np.repeat(np.arange(1, C + 1), per_class),
+                      np.reshape(features, (n, D)), np.reshape(inputs, (n, N, d_in)),
+                      C=C, outlier=outlier)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=student_sets())
+def test_extreme_values_roundtrip_exactly(tmp_path_factory, s):
+    d = tmp_path_factory.mktemp("rt")
+    save_student_set(s, d / "a.skd")
+    loaded = load_student_set(d / "a.skd")
+    save_student_set(loaded, d / "b.skd")
+    assert (d / "a.skd").read_bytes() == (d / "b.skd").read_bytes()
+    for col in ("labels", "outlier", "features", "inputs"):
+        assert getattr(loaded, col).tobytes() == getattr(s, col).tobytes()
+    # Every parsed value is float() of its field, in file order.
+    body = (d / "a.skd").read_text().splitlines()[1:]
+    fields = [float(v) for k, line in enumerate(body)
+              for v in line.split(",")[3 if k % (s.N + 1) == 0 else 1:]]
+    parsed = np.concatenate([loaded.features, loaded.inputs.reshape(len(s), -1)], axis=1)
+    assert np.array(fields).tobytes() == parsed.tobytes()
 
 # A hand-written SKD1 file: n=4 records, C=2, D=3, d_in=2, N=2 (13 lines).
 VALID_SKD1 = [

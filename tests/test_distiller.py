@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from skd.dataset import FaceRecord, StudentSet, SynthConfig, synthesize
+from skd.dataset import StudentSet, SynthConfig, synthesize
 from skd.distiller import (
     TrainConfig,
     TrainingDiverged,
@@ -50,15 +50,14 @@ class TestClassificationLoss:
         sset = tiny_set(C=3, per_class=1, N=1)
         model = zeroed(init_student(arch_for(sset), seed=0))
         # force a huge logit on the true class of every sample via the head bias
-        for r in sset.records:
-            model.layers[-1].b[r.label - 1] = 0.0
+        for label in sset.labels:
+            model.layers[-1].b[label - 1] = 0.0
         # all records share one label? no: one record per class. Use per-sample
         # check with a single-record set instead.
-        one = StudentSet([sset.records[0]], C=3, D=sset.D, d_in=sset.d_in, N=1)
-        one.records[0].id = 0
+        one = StudentSet(sset.labels[:1], sset.features[:1], sset.inputs[:1], C=3)
         one.C = 3
         model.layers[-1].b[:] = -50.0
-        model.layers[-1].b[one.records[0].label - 1] = 50.0
+        model.layers[-1].b[one.labels[0] - 1] = 50.0
         # classes 2,3 empty is fine for loss computation (no centroid math here)
         assert classification_loss(model, one) == pytest.approx(0.0, abs=1e-10)
 
@@ -67,12 +66,12 @@ class TestClassificationLoss:
         model = init_student(arch_for(sset), seed=9)
         total = classification_loss(model, sset)
         oracle = 0.0
-        for r in sset.records:
-            for x in r.degraded_inputs:
+        for label, xs in zip(sset.labels, sset.inputs):
+            for x in xs:
                 _, logits = forward_batch(model, np.asarray(x)[None, :])
                 z = logits[0]
                 z = z - z.max()
-                oracle += -(z[r.label - 1] - math.log(math.fsum(math.exp(v) for v in z)))
+                oracle += -(z[label - 1] - math.log(math.fsum(math.exp(v) for v in z)))
         assert total == pytest.approx(oracle, abs=1e-10)
 
 
@@ -84,9 +83,8 @@ class TestRegressionLoss:
 
     def test_perfect_mimic_is_zero(self):
         # identity network, targets equal to the inputs
-        rec = FaceRecord(0, 1, np.array([0.4, 0.6]), [np.array([0.4, 0.6])], None)
-        rec2 = FaceRecord(1, 2, np.array([1.0, 0.2]), [np.array([1.0, 0.2])], None)
-        sset = StudentSet([rec, rec2], C=2, D=2, d_in=2, N=1)
+        F = np.array([[0.4, 0.6], [1.0, 0.2]])
+        sset = StudentSet([1, 2], F, F[:, None, :], C=2)
         arch = StudentArch(input_dim=2, mimic_dim=2, class_count=2, trunk=(2,),
                            identity_dim=2, hidden_activation="linear",
                            mimic_activation="linear")
@@ -99,10 +97,10 @@ class TestRegressionLoss:
 
     def test_scalar_oracle_single_record(self):
         sset = tiny_set(C=2, per_class=1, N=1, seed=2)
-        one = StudentSet(sset.records[:1], C=2, D=sset.D, d_in=sset.d_in, N=1)
+        one = StudentSet(sset.labels[:1], sset.features[:1], sset.inputs[:1], C=2)
         model = init_student(arch_for(sset), seed=4)
-        mimic, _ = forward_batch(model, np.asarray(one.records[0].degraded_inputs[0])[None, :])
-        expected = float(np.sum((mimic[0] - one.records[0].teacher_feature) ** 2))
+        mimic, _ = forward_batch(model, np.asarray(one.inputs[0, 0])[None, :])
+        expected = float(np.sum((mimic[0] - one.features[0]) ** 2))
         got = regression_loss(model, one, SelectionMask.ones(1))
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -212,7 +210,7 @@ class TestTraining:
         sset_b = synthesize(SynthConfig(C=2, per_class_count=3, D=4, d_in=3, N=2,
                                         noise_scale=0.1, outlier_fraction=0.0, seed=16))
         mask = SelectionMask(np.array([0, 1, 1, 1, 1, 1], dtype=np.int8))
-        sset_b.records[0].teacher_feature = sset_b.records[0].teacher_feature + 100.0
+        sset_b.features[0] = sset_b.features[0] + 100.0
         model = init_student(arch_for(sset_a), seed=16)
         cfg = TrainConfig(supervision="s", learning_rate=1e-3, epochs=4, seed=5)
         a = finetune(model, sset_a, mask, cfg)
@@ -234,6 +232,16 @@ class TestTraining:
         with pytest.raises(ValueError, match="mimic dim"):
             pretrain_student(model, sset, TrainConfig(supervision="c", epochs=1))
 
+    @pytest.mark.parametrize("settings", [
+        dict(supervision="sc"), dict(supervision="s"), dict(supervision="dc"),
+        dict(supervision="c", normalize_targets=True),
+    ])
+    def test_pretrain_rejects_regression_settings(self, settings):
+        sset = tiny_set(seed=18)
+        model = init_student(arch_for(sset), seed=18)
+        with pytest.raises(ValueError, match="classification-only"):
+            pretrain_student(model, sset, TrainConfig(epochs=1, **settings))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(supervision="x")
@@ -249,10 +257,10 @@ class TestNormalizeTargets:
     def test_finetune_and_regression_loss_match_normalized_set(self):
         sset = tiny_set(C=3, per_class=4, D=5, seed=26)
         unit = tiny_set(C=3, per_class=4, D=5, seed=26)
-        F = unit.feature_matrix()
+        F = unit.features
         F = F / np.maximum(np.linalg.norm(F, axis=1, keepdims=True), 1e-300)
-        for record, f in zip(unit.records, F):
-            record.teacher_feature = f
+        for i, f in enumerate(F):
+            unit.features[i] = f
         model = init_student(arch_for(sset), seed=26)
         mask = SelectionMask(np.array([1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 0, 1], dtype=np.int8))
         cfg = dict(supervision="sc", learning_rate=1e-2, epochs=4, seed=8, reg_scale=0.5)

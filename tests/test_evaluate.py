@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skd.dataset import FaceRecord, StudentSet, SynthConfig, synthesize
+from skd.dataset import StudentSet, SynthConfig, synthesize
 from skd.evaluate import (
     auc_score,
     evaluate_identification,
@@ -93,12 +93,10 @@ class TestIdentification:
         # use a huge bias trick per class is impossible for mixed labels; use
         # a model that classifies by nearest input region: simpler oracle,
         # craft a set where inputs carry the label in coordinate 0
-        records = []
-        for i, c in enumerate([1, 2, 3, 1, 2, 3]):
-            x = np.zeros(2)
-            x[0] = float(c)
-            records.append(FaceRecord(i, c, np.ones(4), [x, x], None))
-        sset = StudentSet(records, C=3, D=4, d_in=2, N=2)
+        labels = np.array([1, 2, 3, 1, 2, 3])
+        inputs = np.zeros((6, 2, 2))
+        inputs[:, :, 0] = labels[:, None]
+        sset = StudentSet(labels, np.ones((6, 4)), inputs, C=3)
         arch = StudentArch(input_dim=2, mimic_dim=4, class_count=3, trunk=(4,),
                            identity_dim=4, hidden_activation="linear",
                            mimic_activation="linear")
@@ -132,11 +130,11 @@ class TestIdentification:
                                      trunk=(5,), identity_dim=4), seed=7)
         top1, top5 = evaluate_identification(m, sset)
         errs1 = errs5 = total = 0
-        for r in sset.records:
-            for x in r.degraded_inputs:
+        for label, xs in zip(sset.labels, sset.inputs):
+            for x in xs:
                 _, logits = forward_batch(m, np.asarray(x)[None, :])
                 order = sorted(range(4), key=lambda c: (-logits[0][c], c))
-                rank = order.index(r.label - 1)
+                rank = order.index(label - 1)
                 errs1 += rank >= 1
                 errs5 += rank >= 5
                 total += 1

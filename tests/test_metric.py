@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skd.dataset import FaceRecord, StudentSet
+from skd.dataset import StudentSet
 from skd.metric import class_centroids, measure_matrix, pairwise_measure
 
 finite_vec = st.lists(
@@ -68,15 +68,10 @@ def test_symmetry_and_scale_invariance(a, b, k):
 
 
 def build_set(features_by_class, d_in=1, N=1):
-    records = []
-    rid = 0
-    for c, feats in enumerate(features_by_class, start=1):
-        for f in feats:
-            records.append(FaceRecord(rid, c, np.asarray(f, float),
-                                      [np.zeros(d_in)] * N, None))
-            rid += 1
-    D = len(features_by_class[0][0])
-    return StudentSet(records, C=len(features_by_class), D=D, d_in=d_in, N=N)
+    labels = [c for c, feats in enumerate(features_by_class, start=1) for _ in feats]
+    features = [f for feats in features_by_class for f in feats]
+    return StudentSet(labels, features, np.zeros((len(labels), N, d_in)),
+                      C=len(features_by_class))
 
 
 def test_centroid_of_identical_vectors():

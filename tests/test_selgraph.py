@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skd.dataset import FaceRecord, StudentSet, SynthConfig, synthesize
+from skd.dataset import StudentSet, SynthConfig, synthesize
 from skd.metric import class_centroids
 from skd.selgraph import (
     SelectionGraph,
@@ -15,12 +15,8 @@ from skd.selgraph import (
 
 def three_face_set():
     # class 1 = {(1,0), (0.8,0.6)}, class 2 = {(0,1)}
-    feats = [([1.0, 0.0], 1), ([0.8, 0.6], 1), ([0.0, 1.0], 2)]
-    records = [
-        FaceRecord(i, label, np.array(f), [np.zeros(1)], None)
-        for i, (f, label) in enumerate(feats)
-    ]
-    return StudentSet(records, C=2, D=2, d_in=1, N=1)
+    feats = [[1.0, 0.0], [0.8, 0.6], [0.0, 1.0]]
+    return StudentSet([1, 1, 2], feats, np.zeros((3, 1, 1)), C=2)
 
 
 @pytest.fixture
@@ -77,13 +73,9 @@ class TestBuild:
         for _ in range(20):
             C = int(rng.integers(1, 6))
             sizes = [int(rng.integers(1, 7)) for _ in range(C)]
-            records, rid = [], 0
-            for c, k in enumerate(sizes, start=1):
-                for _ in range(k):
-                    records.append(FaceRecord(rid, c, rng.uniform(0.05, 1.0, 5),
-                                              [np.zeros(1)], None))
-                    rid += 1
-            s = StudentSet(records, C=C, D=5, d_in=1, N=1)
+            labels = np.repeat(np.arange(1, C + 1), sizes)
+            features = [rng.uniform(0.05, 1.0, 5) for _ in labels]
+            s = StudentSet(labels, features, np.zeros((len(labels), 1, 1)), C=C)
             g = build_selection_graph(s, class_centroids(s))
             assert g.node_count == sum(sizes) + C
             assert g.intra_edge_count == sum(k * (k - 1) // 2 for k in sizes)
