@@ -252,7 +252,7 @@ def load_student_set(path: str | Path) -> StudentSet:
     # other text, a short parse or a non-finite value takes the exact path,
     # which also names the offending line.
     body = ",".join(fields)
-    del fields  # the text is held once, not twice, while it is parsed
+    del fields  # body holds the same text; keep one copy while it is parsed
     values = None
     if not body.translate(_DECIMAL_CHARS):
         try:

@@ -110,6 +110,20 @@ def test_centroid_permutation_invariance():
     assert np.all(np.abs(c1 - c2) / np.maximum(np.abs(c1), 1e-300) < 1e-12)
 
 
+def test_centroids_sum_sequentially_in_record_order():
+    # Reference: the per-record loop. Magnitudes spread over 16 decades make
+    # a reordered sum (e.g. in reverse record order) round differently.
+    rng = np.random.default_rng(2)
+    labels = np.concatenate([[1, 2, 3, 4], rng.integers(1, 5, size=196)])
+    feats = rng.normal(size=(200, 7)) * 10.0 ** rng.integers(-8, 8, size=(200, 1))
+    sums = np.zeros((4, 7))
+    for label, f in zip(labels, feats):
+        sums[label - 1] += f
+    expected = sums / np.bincount(labels - 1)[:, None]
+    s = StudentSet(labels, feats, np.zeros((200, 1, 1)), C=4)
+    assert class_centroids(s).centroids.tobytes() == expected.tobytes()
+
+
 def test_empty_class_errors():
     s = build_set([[[1.0, 0.0]]])
     s.C = 2  # declare a second class nobody has
