@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -17,7 +18,7 @@ from skd.distiller import (
     transfer_student,
 )
 from skd.selgraph import SelectionMask
-from skd.student import StudentArch, forward_batch, init_student
+from skd.student import StudentArch, forward_batch, init_student, tap_output
 
 
 def tiny_set(C=3, per_class=4, D=4, d_in=3, N=2, seed=0):
@@ -351,3 +352,78 @@ class TestTransfer:
         a = transfer_student(model, 4, seed=99)
         b = transfer_student(model, 4, seed=99)
         assert a.parameter_bytes() == b.parameter_bytes()
+
+
+class TestPinnedNumerics:
+    """SHA-256 of parameter bytes, metrics JSONL and batched outputs.
+
+    Covers what ``TestGoldenTrajectory`` in test_cli.py does not: tanh hidden
+    layers, a frozen trunk after ``transfer_student``, partial batches, a
+    non-unit ``reg_scale`` with normalized targets, and the batched forward
+    taps. A refactor of the forward pass or of the training step must leave
+    every digest unchanged. Pinned with numpy 2.4 and its bundled OpenBLAS
+    on x86-64; another BLAS may round the matrix products differently.
+    """
+
+    DIGESTS = {
+        "tanh pre params": "6c3e62a9021c86cda5df6aadd87b1de7b9cd0e841deeb118f2db540f527064f1",
+        "tanh pre metrics": "0a0d29cf79a0716bfaf2ef9bef015da83960ee492df6255412138e1316e62219",
+        "tanh sc params": "ca3437cffcde29c2ef81216023ac43d8b21fd15613d0cdb784908c6ce9a590df",
+        "tanh sc metrics": "a8e77e4a586ace808cbc745a5b87d628ba149678d953132d06bca9b5efaaa874",
+        "transfer c params": "bddb8134aafc28d69c24bf23469d987b9afac24d97372a6e45952ee9d22ff2bd",
+        "transfer c metrics": "2d314bdab9e8e79baa46b369d0aa975f2cca15f8a13d027cc4ed69e351c7e861",
+        "transfer sc params": "7459a774e48b70d4d98fb02c86f94111cf69f4b42235c829834569deba127087",
+        "transfer sc metrics": "bf4feefe9aed0999c10e16cfbe66f25c7a13013f3be38367076bbfb53342ea6c",
+        "forward_batch mimic": "70ae4a8e09b31e60fb209bfb207a3325c655771163b9a124f9e6ac23a57e192b",
+        "forward_batch logits": "bf1085a57871415961d578a38af2dfbc4a4a86c2fb9def478ec1c8a452683bb8",
+        "tap mimic": "baa8154033b5f2de0edafd6c76d67660a2fbdbdf641e97140119ec1d3d0b4f99",
+        "tap identity": "13c5630e32c7ee69cd45be6d03ac7bc626e8a837bcb2e07ccbcb7d7eb50e2262",
+    }
+
+    @staticmethod
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    def train(self, tmp_path, tag, train_fn, *args):
+        metrics = tmp_path / f"{tag}.jsonl"
+        model = train_fn(*args, metrics_path=metrics)
+        return model, {f"{tag} params": self.sha(model.parameter_bytes()),
+                       f"{tag} metrics": self.sha(metrics.read_bytes())}
+
+    def digests(self, tmp_path):
+        sset = tiny_set(C=3, per_class=5, D=4, d_in=3, N=2, seed=31)
+        mask = SelectionMask(np.arange(len(sset)) % 3 != 1)
+        out = {}
+
+        arch = StudentArch(input_dim=sset.d_in, mimic_dim=sset.D, class_count=sset.C,
+                           trunk=(6, 5), identity_dim=5, hidden_activation="tanh")
+        pre_cfg = TrainConfig(supervision="c", learning_rate=2e-2, batch_size=4,
+                              epochs=3, seed=8)
+        sc_cfg = TrainConfig(supervision="sc", learning_rate=2e-2, batch_size=4,
+                             epochs=3, seed=9, reg_scale=0.3, normalize_targets=True)
+        tanh, d = self.train(tmp_path, "tanh pre", pretrain_student,
+                             init_student(arch, seed=31), sset, pre_cfg)
+        out.update(d)
+        out.update(self.train(tmp_path, "tanh sc", finetune, tanh, sset, mask, sc_cfg)[1])
+
+        relu = pretrain_student(init_student(arch_for(sset, trunk=(6,)), seed=32), sset,
+                                pre_cfg)
+        moved = transfer_student(relu, new_class_count=sset.C, seed=33)
+        c_cfg = TrainConfig(supervision="c", learning_rate=2e-2, batch_size=4,
+                            epochs=3, seed=10)
+        moved_sc_cfg = TrainConfig(supervision="sc", learning_rate=2e-2, batch_size=4,
+                                   epochs=3, seed=11)
+        out.update(self.train(tmp_path, "transfer c", finetune, moved, sset, None, c_cfg)[1])
+        out.update(self.train(tmp_path, "transfer sc", finetune, moved, sset, mask,
+                              moved_sc_cfg)[1])
+
+        X = np.random.default_rng(34).normal(size=(7, sset.d_in))
+        mimic, logits = forward_batch(tanh, X)
+        out["forward_batch mimic"] = self.sha(mimic.tobytes())
+        out["forward_batch logits"] = self.sha(logits.tobytes())
+        for tap in ("mimic", "identity"):
+            out[f"tap {tap}"] = self.sha(tap_output(moved, X, tap).tobytes())
+        return out
+
+    def test_digests(self, tmp_path):
+        assert self.digests(tmp_path) == self.DIGESTS
