@@ -248,7 +248,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    model = load_checkpoint(_require_file(args.ckpt))
+    ckpt = _require_file(args.ckpt)
+    model = load_checkpoint(ckpt)
     X = np.random.default_rng(0).normal(size=(args.batch, model.arch.input_dim))
     forward_batch(model, X)  # warm up
     t0 = time.perf_counter()
@@ -258,6 +259,7 @@ def cmd_bench(args) -> int:
     rate = args.batch * args.repeat / dt if dt > 0 else float("inf")
     print(json.dumps({
         "parameter_count": model.parameter_count(),
+        "checkpoint_bytes": ckpt.stat().st_size,
         "inferences_per_sec": rate,
         "batch": args.batch,
     }, sort_keys=True))
@@ -377,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="report parameter count and inference throughput")
+    p = sub.add_parser("bench", help="report parameter count, checkpoint size and "
+                                     "inference throughput")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--batch", type=int, default=64)
     p.add_argument("--repeat", type=int, default=50)

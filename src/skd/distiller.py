@@ -109,16 +109,6 @@ def _stack(
     return X, y, F
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
-
-
 def _supervision_terms(
     mask: SelectionMask | None, supervision: str, n_records: int
 ) -> tuple[np.ndarray, bool, bool]:
@@ -144,55 +134,69 @@ def _objective(
     model: StudentModel,
     acts: list[np.ndarray],
     y: np.ndarray,
-    F: np.ndarray,
-    alpha_rows: np.ndarray,
+    F: np.ndarray | None,
+    alpha_rows: np.ndarray | None,
     reg_scale: float,
     use_cls: bool = True,
     use_reg: bool = True,
-) -> tuple[float, float]:
-    """(cls, reg) of one forward trace; a term that is switched off is 0.0."""
+) -> tuple[float, float, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """(cls, reg, e, s, wdiff) of one forward trace.
+
+    ``e`` holds the exponentials of the max-shifted logits and ``s`` their row
+    sums, so the softmax is ``e / s``; ``wdiff`` is the alpha-weighted mimic
+    residual. The gradient reuses them. A term that is switched off is 0.0
+    and its temporaries are None.
+    """
     cls = reg = 0.0
+    e = s = wdiff = None
     if use_cls:
-        logp = _log_softmax(acts[-1])
-        cls = float(-logp[np.arange(len(y)), y - 1].sum())
+        logits = acts[-1]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        s = e.sum(axis=1, keepdims=True)
+        rows = np.arange(len(y))
+        cls = float(-(shifted[rows, y - 1] - np.log(s)[:, 0]).sum())
     if use_reg:
         diff = acts[model.mimic_index + 1] - F
-        reg = float(reg_scale * np.einsum("ij,ij->", diff * alpha_rows[:, None], diff))
-    return cls, reg
+        wdiff = diff * alpha_rows[:, None]
+        reg = float(reg_scale * np.einsum("ij,ij->", wdiff, diff))
+    return cls, reg, e, s, wdiff
 
 
 def _loss_and_grads(
     model: StudentModel,
     X: np.ndarray,
     y: np.ndarray,
-    F: np.ndarray,
-    alpha_rows: np.ndarray,
+    F: np.ndarray | None,
+    alpha_rows: np.ndarray | None,
     use_cls: bool,
     use_reg: bool,
     reg_scale: float,
 ) -> tuple[float, float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Sum losses and parameter gradients over one batch of samples."""
-    acts, pres = forward_trace(model, X)
-    cls, reg = _objective(model, acts, y, F, alpha_rows, reg_scale, use_cls, use_reg)
-    logits = acts[-1]
-    mimic = acts[model.mimic_index + 1]
+    """Sum losses and parameter gradients over one batch of samples.
+
+    ``F`` and ``alpha_rows`` are read only when ``use_reg`` is set.
+    """
+    acts = forward_trace(model, X)
+    cls, reg, e, s, wdiff = _objective(
+        model, acts, y, F, alpha_rows, reg_scale, use_cls, use_reg
+    )
     n_layers = len(model.layers)
 
-    d_logits = np.zeros_like(logits)
     if use_cls:
-        d_logits = _softmax(logits)
-        d_logits[np.arange(len(y)), y - 1] -= 1.0
-    d_mimic = np.zeros_like(mimic)
+        delta = np.divide(e, s, out=e)  # softmax
+        delta[np.arange(len(y)), y - 1] -= 1.0
+    else:
+        delta = np.zeros_like(acts[-1])
     if use_reg:
-        d_mimic = 2.0 * reg_scale * ((mimic - F) * alpha_rows[:, None])
+        wdiff *= 2.0 * reg_scale  # d reg / d mimic
 
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * n_layers  # type: ignore[list-item]
-    delta = d_logits
     for l in range(n_layers - 1, -1, -1):
-        if l == model.mimic_index:
-            delta = delta + d_mimic
+        if l == model.mimic_index and use_reg:
+            delta += wdiff
         layer = model.layers[l]
-        dpre = delta * activation_derivative(layer.activation, pres[l], acts[l + 1])
+        dpre = activation_derivative(layer.activation, acts[l + 1], delta)
         grads[l] = (dpre.T @ acts[l], dpre.sum(axis=0))
         if l > 0:
             delta = dpre @ layer.W
@@ -211,9 +215,9 @@ def _set_loss(
     alpha, use_cls, use_reg = _supervision_terms(mask, supervision, len(sset))
     _check_model_set(model, sset, need_classes=use_cls)
     X, y, F = _stack(sset, normalize_targets)
-    acts, _ = forward_trace(model, X)
+    acts = forward_trace(model, X)
     alpha_rows = np.repeat(alpha, sset.N)
-    return _objective(model, acts, y, F, alpha_rows, reg_scale, use_cls, use_reg)
+    return _objective(model, acts, y, F, alpha_rows, reg_scale, use_cls, use_reg)[:2]
 
 
 def classification_loss(model: StudentModel, sset: StudentSet) -> float:
@@ -248,8 +252,10 @@ def total_loss(
 def _sgd_step(model: StudentModel, grads, lr: float) -> None:
     for layer, (dW, db) in zip(model.layers, grads):
         if layer.trainable:
-            layer.W -= lr * dW
-            layer.b -= lr * db
+            dW *= lr
+            layer.W -= dW
+            db *= lr
+            layer.b -= db
 
 
 def _emit_metrics(handle, epoch: int, cls: float, reg: float, total: float) -> None:
@@ -289,8 +295,8 @@ def _train(
                         model,
                         X[rows],
                         y[rows],
-                        F[rows],
-                        alpha_rows[rows],
+                        F[rows] if use_reg else None,
+                        alpha_rows[rows] if use_reg else None,
                         use_cls,
                         use_reg,
                         config.reg_scale,
@@ -302,10 +308,14 @@ def _train(
                         "(learning rate too high for this data?)"
                     )
                 _sgd_step(model, grads, config.learning_rate)
+            if handle is None and epoch < config.epochs:
+                continue  # no metrics file: only the last epoch's log runs, to check divergence
             # Epoch log: full-set component values at the current parameters.
             with np.errstate(over="ignore", invalid="ignore"):
-                acts, _ = forward_trace(model, X)
-                cls_full, reg_full = _objective(model, acts, y, F, alpha_rows, config.reg_scale)
+                acts = forward_trace(model, X)
+                cls_full, reg_full = _objective(
+                    model, acts, y, F, alpha_rows, config.reg_scale
+                )[:2]
             total = cls_full * use_cls + reg_full * use_reg
             if not np.isfinite(total):
                 raise TrainingDiverged(
@@ -408,13 +418,13 @@ def gradient_check(
     alpha_rows = np.repeat(alpha, sset.N)
 
     def loss_and_pattern(m: StudentModel) -> tuple[float, tuple]:
-        acts, pres = forward_trace(m, X)
+        acts = forward_trace(m, X)
         pattern = tuple(
-            (pres[k] > 0.0).tobytes()
+            (acts[k + 1] > 0.0).tobytes()
             for k, layer in enumerate(m.layers)
             if layer.activation == "relu"
         )
-        cls, reg = _objective(m, acts, y, F, alpha_rows, reg_scale, use_cls, use_reg)
+        cls, reg = _objective(m, acts, y, F, alpha_rows, reg_scale, use_cls, use_reg)[:2]
         return cls + reg, pattern
 
     _, _, grads = _loss_and_grads(model, X, y, F, alpha_rows, use_cls, use_reg, reg_scale)

@@ -73,7 +73,7 @@ def evaluate_identification(model: StudentModel, sset: StudentSet) -> tuple[floa
         )
     X = sset.inputs.reshape(-1, sset.d_in)
     y = np.repeat(sset.labels, sset.N)
-    acts, _ = forward_trace(model, X)
+    acts = forward_trace(model, X)
     order = np.argsort(-acts[-1], axis=1, kind="stable")
     position = np.argmax(order == (y - 1)[:, None], axis=1)
     top1_error = float(np.mean(position >= 1))

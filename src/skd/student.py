@@ -41,23 +41,28 @@ CHECKPOINT_MAGIC = b"SKDCKPT1"
 
 
 def apply_activation(name: str, z: np.ndarray) -> np.ndarray:
+    """Apply the activation to ``z`` in place and return it."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if name == "linear":
         return z
     raise ValueError(f"unknown activation {name!r}")
 
 
-def activation_derivative(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """d activation / d preactivation, given pre-activation z and output a."""
+def activation_derivative(name: str, a: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """``delta`` times d activation / d pre-activation, from the output ``a``.
+
+    ReLU's derivative is ``a > 0``, which equals ``z > 0`` for every z,
+    including -0.0, +-inf and NaN; a linear layer passes ``delta`` through.
+    """
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return delta * (a > 0.0)
     if name == "tanh":
-        return 1.0 - a * a
+        return delta * (1.0 - a * a)
     if name == "linear":
-        return np.ones_like(z)
+        return delta
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -182,24 +187,22 @@ def init_student(
     return model
 
 
-def forward_trace(model: StudentModel, X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Run a batch through every layer, keeping pre- and post-activations.
+def forward_trace(model: StudentModel, X: np.ndarray) -> list[np.ndarray]:
+    """Run a batch through every layer, keeping each layer's output.
 
-    Returns (acts, pres) with acts[0] = X and acts[k+1] = output of layer k.
+    Returns acts with acts[0] = X and acts[k+1] = output of layer k.
     """
-    X = np.asarray(X, dtype=np.float64)
-    acts = [X]
-    pres = []
+    acts = [np.asarray(X, dtype=np.float64)]
     for layer in model.layers:
-        z = acts[-1] @ layer.W.T + layer.b
-        pres.append(z)
+        z = acts[-1] @ layer.W.T
+        z += layer.b
         acts.append(apply_activation(layer.activation, z))
-    return acts, pres
+    return acts
 
 
 def forward_batch(model: StudentModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched forward pass. Returns (mimic (B, D), logits (B, C))."""
-    acts, _ = forward_trace(model, X)
+    acts = forward_trace(model, X)
     return acts[model.mimic_index + 1], acts[-1]
 
 
@@ -230,7 +233,7 @@ def tap_output(model: StudentModel, X: np.ndarray, tap: str) -> np.ndarray:
     """Batched features from the ``mimic`` or ``identity`` tap."""
     if tap not in ("mimic", "identity"):
         raise ValueError(f"unknown tap {tap!r}; expected 'mimic' or 'identity'")
-    acts, _ = forward_trace(model, X)
+    acts = forward_trace(model, X)
     idx = model.mimic_index if tap == "mimic" else model.identity_index
     return acts[idx + 1]
 

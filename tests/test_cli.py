@@ -269,6 +269,9 @@ class TestPipeline:
                      "--repeat", "3"]) == 0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["parameter_count"] > 0
+        assert payload["checkpoint_bytes"] == (d / "fin.ckpt").stat().st_size
+        # float64 parameters plus the magic and metadata lines
+        assert payload["checkpoint_bytes"] > 8 * payload["parameter_count"]
         assert payload["inferences_per_sec"] > 0
 
     def test_divergence_exit_6(self, tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from skd import distiller
 from skd.dataset import StudentSet, SynthConfig, synthesize
 from skd.distiller import (
     TrainConfig,
@@ -195,6 +196,27 @@ class TestTraining:
         lines = (tmp_path / "m.jsonl").read_text().splitlines()
         assert [json.loads(l)["epoch"] for l in lines] == [1, 2]
         assert set(json.loads(lines[0])) == {"epoch", "cls", "reg", "total"}
+
+    @pytest.mark.parametrize("supervision", ["c", "sc"])
+    def test_metrics_file_does_not_change_training(self, tmp_path, monkeypatch, supervision):
+        sset = tiny_set(seed=18)
+        model = init_student(arch_for(sset), seed=18)
+        mask = SelectionMask(np.arange(len(sset)) % 2)
+        cfg = TrainConfig(supervision=supervision, learning_rate=1e-3, batch_size=4,
+                          epochs=5, seed=7)
+        logged = finetune(model, sset, mask, cfg, metrics_path=tmp_path / "m.jsonl")
+
+        full_passes = []
+        inner = distiller.forward_trace
+
+        def counting(m, X):
+            full_passes.append(len(X) == len(sset) * sset.N)
+            return inner(m, X)
+
+        monkeypatch.setattr(distiller, "forward_trace", counting)
+        quiet = finetune(model, sset, mask, cfg)
+        assert quiet.parameter_bytes() == logged.parameter_bytes()
+        assert sum(full_passes) == 1  # only the final epoch's log pass
 
     def test_determinism(self):
         sset = tiny_set(seed=15)

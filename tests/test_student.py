@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from skd.student import (
+    ACTIVATIONS,
     StudentArch,
+    activation_derivative,
+    apply_activation,
     forward,
     forward_batch,
     init_student,
@@ -147,3 +150,46 @@ class TestCheckpoint:
         p.write_bytes(b"NOTACKPT\n{}\n")
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(p)
+
+
+class TestActivationDerivative:
+    """The output-based forms equal the pre-activation forms bit for bit."""
+
+    EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+                      2.2250738585072014e-308, 1.0, -1.0, 0.5, -3.75, 20.0, -20.0,
+                      1e308, -1e308])
+
+    @staticmethod
+    def pre_activation_forms(name, z):
+        """(output, derivative) computed from the pre-activation z."""
+        if name == "relu":
+            return np.maximum(z, 0.0), (z > 0.0).astype(np.float64)
+        if name == "tanh":
+            a = np.tanh(z)
+            return a, 1.0 - a * a
+        return z, np.ones_like(z)
+
+    def inputs(self):
+        # every edge value meets every edge delta, then a stretch of ordinary
+        # values long enough for the vectorised loops and their tails
+        rng = np.random.default_rng(0)
+        k = len(self.EDGES)
+        z = np.concatenate([np.repeat(self.EDGES, k), rng.normal(scale=3.0, size=4099)])
+        delta = np.concatenate([np.tile(self.EDGES, k), rng.normal(size=4099)])
+        return z, delta
+
+    @pytest.mark.parametrize("name", ACTIVATIONS)
+    def test_matches_pre_activation_form(self, name):
+        z, delta = self.inputs()
+        a_old, deriv_old = self.pre_activation_forms(name, z)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = delta * deriv_old
+            a = apply_activation(name, z.copy())
+            got = activation_derivative(name, a, delta)
+        assert a.tobytes() == a_old.tobytes()
+        assert got.tobytes() == expected.tobytes()
+
+    def test_relu_kink_pattern_from_output(self):
+        z, _ = self.inputs()
+        a = apply_activation("relu", z.copy())
+        assert (a > 0.0).tobytes() == (z > 0.0).tobytes()
