@@ -35,11 +35,14 @@ def pairwise_measure(a, b, mode: str = "cossim") -> float:
     vb = np.asarray(b, dtype=np.float64)
     if va.ndim != 1 or va.shape != vb.shape:
         raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
+    if not np.any(va) or not np.any(vb):
         raise ValueError("zero-norm vector has no direction")
-    c = float(np.dot(va, vb) / (na * nb))
+    # The cosine is scale-invariant. Dividing by the largest magnitude first
+    # keeps the squares in the norms out of the subnormal range, where the
+    # norm of a vector like [1e-160, 0] loses most of its digits.
+    va = va / np.max(np.abs(va))
+    vb = vb / np.max(np.abs(vb))
+    c = float(np.dot(va, vb) / (np.linalg.norm(va) * np.linalg.norm(vb)))
     c = min(1.0, max(-1.0, c))
     if mode == "cossim":
         return max(0.0, c)

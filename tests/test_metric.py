@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skd.dataset import StudentSet
@@ -54,6 +54,8 @@ def test_unknown_mode_errors():
 
 @settings(max_examples=200, deadline=None)
 @given(a=finite_vec, b=finite_vec, k=st.floats(min_value=1e-3, max_value=1e3))
+@example(a=[1.2912770807226725e-160, 0.0], b=[1.0, 0.0], k=2.0)
+@example(a=[0.0, 1.5590947568764296e-158], b=[0.0, 1.0], k=0.5)
 def test_symmetry_and_scale_invariance(a, b, k):
     n = min(len(a), len(b))
     va, vb = np.array(a[:n]), np.array(b[:n])
