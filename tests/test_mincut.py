@@ -144,6 +144,35 @@ class TestGolden:
         assert h.hexdigest() == GOLDEN_DIGEST
 
 
+def stress_cases():
+    """The benchmark's 10 x 300 sets at seeds 7 and 1811, and 4 x 500 at seed 7."""
+    def graph(C, per_class, seed):
+        s = synthesize(SynthConfig(C=C, per_class_count=per_class, D=128, d_in=8, N=4,
+                                   noise_scale=0.005, outlier_fraction=0.1, seed=seed))
+        return build_selection_graph(s, class_centroids(s))
+
+    for seed in (7, 1811):
+        g = graph(10, 300, seed)
+        for lam in (-1.0, -0.05, -0.002, 0.0):
+            yield g, lam
+    yield graph(4, 500, 7), -0.05
+
+
+# Same digest as GOLDEN_DIGEST, over stress_cases(): classes of 300-500 faces
+# with 44,850-124,750 edges each, the scale the solver's array paths are built for.
+STRESS_DIGEST = "634e4cf16c0a0611897dbda0bd02a49bd29669baf49283a2c02c36f1e8974282"
+
+
+class TestStressGolden:
+    def test_masks_and_energies_bit_identical(self):
+        h = hashlib.sha256()
+        for g, lam in stress_cases():
+            mask, e = minimize(g, lam)
+            h.update(mask.alpha.tobytes())
+            h.update(repr(e).encode("ascii"))
+        assert h.hexdigest() == STRESS_DIGEST
+
+
 class TestBruteForce:
     def test_single_positive_unary(self):
         for lam in (0.0, -1.0, -100.0):
