@@ -175,7 +175,9 @@ def _loss_and_grads(
 ) -> tuple[float, float, list[tuple[np.ndarray, np.ndarray]]]:
     """Sum losses and parameter gradients over one batch of samples.
 
-    ``F`` and ``alpha_rows`` are read only when ``use_reg`` is set.
+    ``F`` and ``alpha_rows`` are read only when ``use_reg`` is set. Only
+    trainable layers get gradients (None for the others), and the backward
+    pass stops at the lowest trainable layer.
     """
     acts = forward_trace(model, X)
     cls, reg, e, s, wdiff = _objective(
@@ -191,14 +193,16 @@ def _loss_and_grads(
     if use_reg:
         wdiff *= 2.0 * reg_scale  # d reg / d mimic
 
+    lowest = next((l for l, layer in enumerate(model.layers) if layer.trainable), n_layers)
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * n_layers  # type: ignore[list-item]
-    for l in range(n_layers - 1, -1, -1):
+    for l in range(n_layers - 1, lowest - 1, -1):
         if l == model.mimic_index and use_reg:
             delta += wdiff
         layer = model.layers[l]
         dpre = activation_derivative(layer.activation, acts[l + 1], delta)
-        grads[l] = (dpre.T @ acts[l], dpre.sum(axis=0))
-        if l > 0:
+        if layer.trainable:
+            grads[l] = (dpre.T @ acts[l], dpre.sum(axis=0))
+        if l > lowest:
             delta = dpre @ layer.W
     return cls, reg, grads
 
@@ -250,8 +254,9 @@ def total_loss(
 
 
 def _sgd_step(model: StudentModel, grads, lr: float) -> None:
-    for layer, (dW, db) in zip(model.layers, grads):
+    for layer, grad in zip(model.layers, grads):
         if layer.trainable:
+            dW, db = grad
             dW *= lr
             layer.W -= dW
             db *= lr
@@ -427,7 +432,10 @@ def gradient_check(
         cls, reg = _objective(m, acts, y, F, alpha_rows, reg_scale, use_cls, use_reg)[:2]
         return cls + reg, pattern
 
-    _, _, grads = _loss_and_grads(model, X, y, F, alpha_rows, use_cls, use_reg, reg_scale)
+    work = model.copy()
+    for layer in work.layers:  # the check covers frozen parameters too
+        layer.trainable = True
+    _, _, grads = _loss_and_grads(work, X, y, F, alpha_rows, use_cls, use_reg, reg_scale)
 
     coords = []
     for li, layer in enumerate(model.layers):
@@ -436,7 +444,6 @@ def gradient_check(
     rng = np.random.default_rng(seed)
     picks = rng.permutation(len(coords))
 
-    work = model.copy()
     max_err = 0.0
     checked = 0
     for p in picks:

@@ -2,10 +2,13 @@
 
 Sized for the per-class subproblems of the selection solver: up to a few
 hundred nodes and about a hundred thousand arcs for a dense class of 300-500
-faces. The network arrives as arc arrays. The breadth-first passes (levels
-and the final reachability) run on those arrays; the augmenting-path search
-walks a CSR adjacency held in Python lists, which index faster than numpy
-scalars in its loop.
+faces. The residual network lives in numpy arrays in CSR order (arcs grouped
+by tail). Each phase's breadth-first level pass gathers each arc at most once;
+the phase's admissible arcs (residual capacity left, one level down) are then
+copied into Python lists, which index faster than numpy scalars in the
+augmenting-path search, and their capacities are written back when the phase
+ends. No other arc is read during the phase: the reverse of an admissible arc
+climbs a level, so it is never admissible in the same phase.
 Augmenting along a path subtracts the exact bottleneck, so the bottleneck
 arc's residual becomes exactly zero; residuals that fall within float dust of
 zero after repeated augmentations are snapped to zero to keep the final
@@ -22,101 +25,113 @@ __all__ = ["Dinic"]
 class Dinic:
     """Residual network of arcs ``tail[k] -> head[k]`` with ``capacity[k]``.
 
-    Arc k has edge id 2k and its reverse arc (capacity 0) has id 2k+1, so
-    ``id ^ 1`` is always the paired arc. Each node's adjacency lists the ids
-    leaving it in ascending order.
+    Arc k has edge id 2k and its reverse arc (capacity 0) has id 2k+1. The
+    arrays hold the ids stable-sorted by tail, so each node's arcs are a
+    contiguous run ``start[u]:start[u + 1]`` in ascending id order; ``to`` and
+    ``cap`` are the head and residual capacity at each CSR position and
+    ``rev`` the position of its paired arc.
     """
 
     def __init__(self, n: int, tail: np.ndarray, head: np.ndarray, capacity: np.ndarray):
         capacity = np.asarray(capacity, dtype=np.float64)
+        tail, head = np.asarray(tail), np.asarray(head)
+        if capacity.ndim != 1 or tail.shape != capacity.shape or head.shape != capacity.shape:
+            raise ValueError(
+                f"tail, head and capacity must be vectors of one length, got shapes "
+                f"{tail.shape}, {head.shape} and {capacity.shape}"
+            )
         bad = (capacity < 0) | ~np.isfinite(capacity)
         if np.any(bad):
             raise ValueError(
                 f"capacity must be finite and nonnegative, got {capacity[bad][0]}"
             )
         m = len(capacity)
-        src = np.empty(2 * m, dtype=np.int64)
+        if m and (min(tail.min(), head.min()) < 0 or max(tail.max(), head.max()) >= n):
+            raise ValueError(f"arc endpoints must be node ids in 0..{n - 1}")
+        # ids interleaved: src[id] is the tail of arc id, src[id ^ 1] its head
+        src = np.empty(2 * m, dtype=np.min_scalar_type(n))
         src[0::2] = tail
         src[1::2] = head
-        dst = np.empty(2 * m, dtype=np.int64)
-        dst[0::2] = head
-        dst[1::2] = tail
-        cap = np.zeros(2 * m, dtype=np.float64)
-        cap[0::2] = capacity
-        order = np.argsort(src, kind="stable").tolist()
-        start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=start[1:])
-        start = start.tolist()
-        self.n = n
-        self.to: list[int] = dst.tolist()
-        self.cap: list[float] = cap.tolist()
-        self.adj: list[list[int]] = [order[start[u]:start[u + 1]] for u in range(n)]
-        # array view of the residual network for the breadth-first passes;
-        # ``_live`` mirrors ``cap > 0`` and is kept in step by each augmentation
-        self._src, self._dst = src, dst
-        self._live = cap > 0.0
+        order = np.argsort(src, kind="stable")  # radix sort on 8/16-bit keys
+        partner = order ^ 1
+        position = np.empty(2 * m, dtype=np.int64)
+        position[order] = np.arange(2 * m)
+        residual = np.zeros(2 * m, dtype=np.float64)
+        residual[0::2] = capacity
+        self.start = np.searchsorted(src[order], np.arange(n + 1))
+        self.degree = np.diff(self.start)
+        self.to = src[partner].astype(np.int64)  # intp indexes without a conversion
+        self.rev = position[partner]
+        self.cap = residual[order]
 
-    def _bfs(self, s: int, t: int) -> list[int] | None:
-        """Level (hop distance from s over residual arcs) of every node."""
-        level = _hop_distances(self.n, s, self._src, self._dst, self._live)
-        return level.tolist() if level[t] >= 0 else None
+    def _bfs(self, s: int, t: int) -> np.ndarray | None:
+        """CSR positions of the phase's admissible arcs; None once t is unreachable.
 
-    def _augmenting_paths(self, s: int, t: int, level: list[int]):
-        """Yield the flow pushed along each augmenting path of one phase.
-
-        Depth-first over the level graph with per-node arc pointers, in the
-        order a recursive search restarted from s would find the paths: after
-        an augmentation the search resumes below the last arc of the path
-        prefix that still has residual capacity, which is where a restart from
-        s would descend to.
+        An arc is admissible when it has residual capacity and leads from a
+        node at hop distance d from s to one at d + 1 that is t or closer to
+        s than t: the arcs that can lie on a shortest augmenting path.
         """
-        adj, to, cap, live = self.adj, self.to, self.cap, self._live
-        it = [0] * self.n
+        admissible = np.zeros(len(self.to), dtype=bool)
+        level = _hop_distances(self.degree, self.to, self.cap > 0.0, s, t, admissible)
+        return np.flatnonzero(admissible) if level[t] >= 0 else None
+
+    def _augment(self, s: int, t: int, admissible: np.ndarray, total: float) -> float:
+        """Push one phase's blocking flow; return ``total`` plus each path's flow.
+
+        Depth-first over the admissible arcs with per-node arc pointers, in
+        the order a recursive search restarted from s would find the paths:
+        after an augmentation the search resumes below the last arc of the
+        path prefix that still has residual capacity, which is where a
+        restart from s would descend to.
+        """
+        to, cap, rev = self.to, self.cap, self.rev
+        bounds = np.searchsorted(admissible, self.start).tolist()
+        a_to = to[admissible].tolist()
+        a_cap = cap[admissible].tolist()
+        back = rev[admissible]
+        a_back = cap[back].tolist()  # residuals of the reverse arcs
+        it, end = bounds[:-1], bounds[1:]
         path: list[int] = []
         u = s
         while True:
             if u == t:
-                d = min(cap[e] for e in path)
-                for e in reversed(path):
-                    cap[e] -= d
-                    cap[e ^ 1] += d
-                    if cap[e] <= 1e-12 * d:  # snap float dust
-                        cap[e] = 0.0
-                    live[e] = cap[e] > 0.0
-                    live[e ^ 1] = True
-                yield d
-                for k, e in enumerate(path):
-                    if not cap[e] > 0.0:
-                        del path[k:]
+                d = min(a_cap[k] for k in path)
+                for k in reversed(path):
+                    a_cap[k] -= d
+                    a_back[k] += d
+                    if a_cap[k] <= 1e-12 * d:  # snap float dust
+                        a_cap[k] = 0.0
+                total += d
+                for j, k in enumerate(path):
+                    if not a_cap[k] > 0.0:
+                        del path[j:]
                         break
-                u = to[path[-1]] if path else s
+                u = a_to[path[-1]] if path else s
                 continue
-            arcs = adj[u]
-            i = it[u]
-            next_level = level[u] + 1
-            while i < len(arcs):
-                e = arcs[i]
-                if cap[e] > 0.0 and level[to[e]] == next_level:
-                    break
+            i, stop = it[u], end[u]
+            while i < stop and not a_cap[i] > 0.0:
                 i += 1
             it[u] = i
-            if i < len(arcs):
-                path.append(arcs[i])
-                u = to[arcs[i]]
+            if i < stop:
+                path.append(i)
+                u = a_to[i]
             elif path:  # dead end: retreat and skip the arc that led here
-                u = to[path.pop() ^ 1]
+                path.pop()
+                u = a_to[path[-1]] if path else s
                 it[u] += 1
             else:
-                return
+                break
+        cap[admissible] = a_cap
+        cap[back] = a_back
+        return total
 
     def max_flow(self, s: int, t: int) -> float:
         total = 0.0
         while True:
-            level = self._bfs(s, t)
-            if level is None:
+            admissible = self._bfs(s, t)
+            if admissible is None:
                 return total
-            for pushed in self._augmenting_paths(s, t, level):
-                total += pushed
+            total = self._augment(s, t, admissible, total)
 
     def side_reaching_sink(self, t: int) -> np.ndarray:
         """Boolean array: node can reach t in the residual graph.
@@ -124,24 +139,38 @@ class Dinic:
         After max_flow this is the sink side of the minimum cut whose sink set
         is smallest (it is contained in the sink set of every minimum cut).
         """
-        # walk residual arcs backwards: head -> tail
-        return _hop_distances(self.n, t, self._dst, self._src, self._live) >= 0
+        # walk residual arcs backwards: the arc into u from to[p] is rev[p]
+        live = self.cap[self.rev] > 0.0
+        return _hop_distances(self.degree, self.to, live, t) >= 0
 
 
-def _hop_distances(n: int, root: int, tail: np.ndarray, head: np.ndarray,
-                   live: np.ndarray) -> np.ndarray:
-    """Breadth-first hop count from ``root`` over the live arcs; -1 if unreached."""
-    level = np.full(n, -1, dtype=np.int64)
+def _hop_distances(degree: np.ndarray, head: np.ndarray, live: np.ndarray, root: int,
+                   target: int | None = None,
+                   admissible: np.ndarray | None = None) -> np.ndarray:
+    """Breadth-first hop count from ``root`` over the live CSR arcs; -1 if unreached.
+
+    Each depth gathers only the live arcs of that depth's nodes. The search
+    stops after the depth that reaches ``target``, leaving farther nodes at
+    -1. ``admissible``, if given, gets every live arc marked that leads one
+    depth down, at the last depth only the arcs into ``target``.
+    """
+    level = np.full(len(degree), -1, dtype=np.int64)
     level[root] = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[root] = True
+    frontier = level == 0
     depth = 0
     while True:
-        reached = head[frontier[tail] & live]
-        reached = reached[level[reached] < 0]
-        if len(reached) == 0:
+        arcs = np.flatnonzero(np.repeat(frontier, degree) & live)
+        reached = head[arcs]
+        fresh = level[reached] < 0
+        if not fresh.any():
             return level
         depth += 1
-        level[reached] = depth
-        frontier[:] = False
-        frontier[reached] = True
+        level[reached[fresh]] = depth
+        last = target is not None and level[target] == depth
+        if last:
+            fresh &= reached == target
+        if admissible is not None:
+            admissible[arcs[fresh]] = True
+        if last:
+            return level
+        frontier = level == depth

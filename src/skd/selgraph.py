@@ -96,6 +96,8 @@ class SelectionGraph:
         return np.flatnonzero(self.labels == label)
 
     def validate(self) -> None:
+        if np.any((self.labels < 1) | (self.labels > self.n_classes)):
+            raise ValueError(f"labels must lie in 1..{self.n_classes}")
         if not (np.all(np.isfinite(self.unary)) and np.all(self.unary >= 0.0)):
             raise ValueError("unary costs must be finite and nonnegative")
         if not (np.all(np.isfinite(self.edge_w)) and np.all(self.edge_w >= 0.0)):
@@ -140,7 +142,7 @@ def build_selection_graph(
     if ei:
         edge_i = np.concatenate(ei)
         edge_j = np.concatenate(ej)
-        edge_w = np.concatenate(ew).astype(np.float64)
+        edge_w = np.concatenate(ew).astype(np.float64, copy=False)
     else:
         edge_i = np.zeros(0, dtype=np.int64)
         edge_j = np.zeros(0, dtype=np.int64)
@@ -150,9 +152,9 @@ def build_selection_graph(
         n_faces=n,
         n_classes=sset.C,
         labels=labels,
-        unary=unary.astype(np.float64),
-        edge_i=edge_i.astype(np.int64),
-        edge_j=edge_j.astype(np.int64),
+        unary=unary.astype(np.float64, copy=False),
+        edge_i=edge_i.astype(np.int64, copy=False),
+        edge_j=edge_j.astype(np.int64, copy=False),
         edge_w=edge_w,
         measure=measure,
     )

@@ -321,6 +321,17 @@ class TestGradientCheck:
         err = gradient_check(model, sset, SelectionMask.zeros(len(sset)), "s")
         assert err < 1e-8  # absolute fallback at an all-zero gradient
 
+    def test_frozen_layers_are_checked(self):
+        # a transferred model's trunk and mimic layers are frozen; the check
+        # still compares their gradients, and the model keeps its flags
+        sset = tiny_set(C=3, per_class=3, N=2, seed=26)
+        moved = transfer_student(init_student(arch_for(sset), seed=26), new_class_count=3)
+        mask = SelectionMask(np.array([1, 0, 1, 1, 0, 1, 1, 1, 0], dtype=np.int8))
+        for mode in ("c", "sc"):
+            err = gradient_check(moved, sset, mask, mode, epsilon=1e-5, max_coords=200, seed=4)
+            assert err < 1e-4, mode
+        assert [layer.trainable for layer in moved.layers] == [False, False, True, True]
+
     def test_rejects_big_models(self):
         sset = tiny_set(D=4)
         arch = StudentArch(input_dim=sset.d_in, mimic_dim=sset.D,
@@ -367,6 +378,28 @@ class TestTransfer:
         model = init_student(arch_for(sset), seed=24)
         with pytest.raises(ValueError):
             transfer_student(model, new_class_count=1)
+
+    def test_backward_skips_frozen_layers(self):
+        # trainable layers get the gradients of an all-trainable copy, bit for
+        # bit; frozen layers below them get none
+        sset = tiny_set(C=3, per_class=4, seed=27)
+        moved = transfer_student(init_student(arch_for(sset), seed=27), new_class_count=3)
+        full = moved.copy()
+        for layer in full.layers:
+            layer.trainable = True
+        X = sset.inputs.reshape(-1, sset.d_in)
+        y = np.repeat(sset.labels, sset.N)
+        F = np.repeat(sset.features, sset.N, axis=0)
+        alpha_rows = np.ones(len(X))
+        args = (X, y, F, alpha_rows, True, True, 1.0)
+        *losses, grads = distiller._loss_and_grads(moved, *args)
+        *full_losses, full_grads = distiller._loss_and_grads(full, *args)
+        assert losses == full_losses
+        for layer, g, fg in zip(moved.layers, grads, full_grads):
+            if layer.trainable:
+                assert g[0].tobytes() == fg[0].tobytes() and g[1].tobytes() == fg[1].tobytes()
+            else:
+                assert g is None
 
     def test_transfer_deterministic(self):
         sset = tiny_set(seed=25)

@@ -6,6 +6,7 @@ import pytest
 from skd.dataset import FormatError, SynthConfig, synthesize
 from skd.metric import class_centroids
 from skd.mincut import (
+    _class_edges,
     brute_force_minimize,
     default_lambda_grid,
     lambda_sweep,
@@ -118,6 +119,12 @@ class TestMinimize:
         assert mask.alpha.tolist() == [1, 1]
         assert e == pytest.approx(-0.7, abs=1e-12)
 
+    def test_labels_outside_class_range_rejected(self):
+        g = single_face_graph(0.5)
+        g.labels = np.array([257])  # a narrowed class key would wrap to class 1
+        with pytest.raises(ValueError, match="labels must lie"):
+            minimize(g, -1.0)
+
     def test_long_chain_does_not_recurse(self):
         # a 1,200-level residual path: a recursive augmenting search would
         # exceed Python's recursion limit here
@@ -171,6 +178,63 @@ class TestStressGolden:
             h.update(mask.alpha.tobytes())
             h.update(repr(e).encode("ascii"))
         assert h.hexdigest() == STRESS_DIGEST
+
+
+def shuffled(g: SelectionGraph, rng) -> SelectionGraph:
+    """``g`` with its faces renumbered and its edges reordered at random."""
+    new_id = rng.permutation(g.n_faces)
+    labels = np.empty_like(g.labels)
+    labels[new_id] = g.labels
+    unary = np.empty_like(g.unary)
+    unary[new_id] = g.unary
+    i, j = new_id[g.edge_i], new_id[g.edge_j]
+    order = rng.permutation(len(i))
+    return SelectionGraph(g.n_faces, g.n_classes, labels, unary,
+                          np.minimum(i, j)[order], np.maximum(i, j)[order], g.edge_w[order])
+
+
+class TestClassEdges:
+    @pytest.mark.parametrize("n_classes", [4, 300])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_matches_per_class_scan(self, n_classes, shuffle):
+        rng = np.random.default_rng(n_classes)
+        sizes = rng.integers(0, 5, n_classes)
+        labels = np.repeat(np.arange(1, n_classes + 1), sizes)
+        ei, ej = [], []
+        for c in range(1, n_classes + 1):
+            a, b = np.triu_indices(int(sizes[c - 1]), k=1)
+            first = np.searchsorted(labels, c)
+            ei.append(first + a)
+            ej.append(first + b)
+        g = SelectionGraph(len(labels), n_classes, labels, rng.random(len(labels)),
+                           np.concatenate(ei), np.concatenate(ej),
+                           rng.random(sum(len(e) for e in ei)))
+        if shuffle:
+            g = shuffled(g, rng)
+        got = _class_edges(g)
+        want = []
+        for c in range(1, n_classes + 1):
+            ids = np.flatnonzero(g.labels == c)
+            if len(ids):
+                sel = g.labels[g.edge_i] == c
+                want.append((ids, np.searchsorted(ids, g.edge_i[sel]),
+                             np.searchsorted(ids, g.edge_j[sel]), g.edge_w[sel]))
+        assert len(got) == len(want)
+        for parts, expected in zip(got, want):
+            for part, e in zip(parts, expected):
+                assert np.array_equal(part, e)
+
+    def test_relabelled_graph_gets_the_same_selection(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            g = random_graph(rng)
+            h = shuffled(g, np.random.default_rng(6))
+            new_id = np.random.default_rng(6).permutation(g.n_faces)
+            for lam in (-0.25, -1.0):
+                mask, e = minimize(g, lam)
+                other, f = minimize(h, lam)
+                assert np.array_equal(other.alpha[new_id], mask.alpha)
+                assert f == pytest.approx(e, abs=1e-12)
 
 
 class TestBruteForce:

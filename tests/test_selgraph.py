@@ -88,6 +88,14 @@ class TestBuild:
             g = build_selection_graph(s, class_centroids(s), measure=mode)
             assert np.all(g.unary >= 0) and np.all(g.edge_w >= 0)
 
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_labels_outside_class_range_rejected(self, three_face_graph, bad):
+        three_face_graph.labels = np.array([1, bad, 2])
+        three_face_graph.edge_i = three_face_graph.edge_j = np.zeros(0, dtype=np.int64)
+        three_face_graph.edge_w = np.zeros(0)
+        with pytest.raises(ValueError, match=r"labels must lie in 1\.\.2"):
+            three_face_graph.validate()
+
     def test_centroid_class_count_mismatch(self):
         s = three_face_set()
         table = class_centroids(s)
