@@ -95,19 +95,6 @@ def default_lambda_grid() -> list[float]:
     return [-float(2**k) for k in range(13, -1, -1)] + [0.0]
 
 
-def _grouped(key: np.ndarray, count: int) -> tuple[np.ndarray | None, np.ndarray]:
-    """``(order, start)`` grouping ``key``'s entries by value 1..count.
-
-    Group g (0-based) is ``order[start[g]:start[g + 1]]``; ``order`` is the
-    stable sort of ``key``, or None when ``key`` is already sorted.
-    """
-    bounds = np.arange(1, count + 2, dtype=key.dtype)
-    if np.all(key[:-1] <= key[1:]):
-        return None, np.searchsorted(key, bounds)
-    order = np.argsort(key, kind="stable")  # radix sort on 8/16-bit keys
-    return order, np.searchsorted(key[order], bounds)
-
-
 def _class_edges(
     graph: SelectionGraph,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -115,16 +102,22 @@ def _class_edges(
 
     ``ids`` are the class's global face ids (ascending); ``a``, ``b`` are the
     class's edge endpoints as local indices into ``ids``, and ``w`` their
-    weights, in the graph's edge order. Faces and edges that already come
-    grouped by class, as :func:`build_selection_graph` emits them, are sliced
-    without a sort.
+    weights, in the graph's edge order. Labels must lie in 1..C: they are
+    narrowed to the smallest key type, which numpy radix-sorts.
     """
     labels = graph.labels.astype(np.min_scalar_type(graph.n_classes + 1))
-    face_order, face_start = _grouped(labels, graph.n_classes)
-    edge_order, edge_start = _grouped(labels[graph.edge_i], graph.n_classes)
-    if face_order is not None:
-        rank = np.empty(graph.n_faces, dtype=np.int64)
-        rank[face_order] = np.arange(graph.n_faces)
+    bounds = np.arange(1, graph.n_classes + 2, dtype=labels.dtype)
+    face_order = np.argsort(labels, kind="stable")
+    face_start = np.searchsorted(labels[face_order], bounds)
+    rank = np.empty(graph.n_faces, dtype=np.int64)
+    rank[face_order] = np.arange(graph.n_faces)
+    edge_class = labels[graph.edge_i]
+    if np.all(edge_class[:-1] <= edge_class[1:]):  # grouped, as build_selection_graph emits
+        edge_order = None
+    else:
+        edge_order = np.argsort(edge_class, kind="stable")
+        edge_class = edge_class[edge_order]
+    edge_start = np.searchsorted(edge_class, bounds)
     classes = []
     for c in range(graph.n_classes):
         lo, hi = face_start[c], face_start[c + 1]
@@ -133,11 +126,8 @@ def _class_edges(
         sel = slice(edge_start[c], edge_start[c + 1])
         if edge_order is not None:
             sel = edge_order[sel]
-        i, j, w = graph.edge_i[sel], graph.edge_j[sel], graph.edge_w[sel]
-        if face_order is None:
-            classes.append((np.arange(lo, hi), i - lo, j - lo, w))
-        else:
-            classes.append((face_order[lo:hi], rank[i] - lo, rank[j] - lo, w))
+        classes.append((face_order[lo:hi], rank[graph.edge_i[sel]] - lo,
+                        rank[graph.edge_j[sel]] - lo, graph.edge_w[sel]))
     return classes
 
 
