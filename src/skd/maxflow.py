@@ -73,7 +73,7 @@ class Dinic:
         """
         admissible = np.zeros(len(self.to), dtype=bool)
         level = _hop_distances(self.degree, self.to, self.cap > 0.0, s, t, admissible)
-        return np.flatnonzero(admissible) if level[t] >= 0 else None
+        return admissible.nonzero()[0] if level[t] >= 0 else None
 
     def _augment(self, s: int, t: int, admissible: np.ndarray, total: float) -> float:
         """Push one phase's blocking flow; return ``total`` plus each path's flow.
@@ -85,7 +85,7 @@ class Dinic:
         restart from s would descend to.
         """
         to, cap, rev = self.to, self.cap, self.rev
-        bounds = np.searchsorted(admissible, self.start).tolist()
+        bounds = admissible.searchsorted(self.start).tolist()
         a_to = to[admissible].tolist()
         a_cap = cap[admissible].tolist()
         back = rev[admissible]
@@ -159,7 +159,7 @@ def _hop_distances(degree: np.ndarray, head: np.ndarray, live: np.ndarray, root:
     frontier = level == 0
     depth = 0
     while True:
-        arcs = np.flatnonzero(np.repeat(frontier, degree) & live)
+        arcs = (frontier.repeat(degree) & live).nonzero()[0]
         reached = head[arcs]
         fresh = level[reached] < 0
         if not fresh.any():
