@@ -20,11 +20,8 @@ from .distiller import (
     SUPERVISION_MODES,
     TrainConfig,
     TrainingDiverged,
-    classification_loss,
     finetune,
     gradient_check,
-    pretrain_student,
-    regression_loss,
     total_loss,
     transfer_student,
 )
@@ -35,7 +32,7 @@ from .evaluate import (
     evaluate_verification,
     make_verification_pairs,
 )
-from .metric import MEASURES, CentroidTable, class_centroids, pairwise_measure
+from .metric import MEASURES, class_centroids, pairwise_measure
 from .mincut import (
     SweepEntry,
     SweepResult,

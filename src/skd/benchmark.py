@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import StudentSet, SynthConfig, subset_classes, subset_records, synthesize
-from .distiller import TrainConfig, finetune, pretrain_student, transfer_student
+from .distiller import TrainConfig, finetune, transfer_student
 from .evaluate import evaluate_identification, evaluate_verification, make_verification_pairs
 from .metric import class_centroids
 from .mincut import minimize
@@ -22,9 +22,7 @@ from .student import StudentArch, StudentModel, init_student
 
 __all__ = [
     "Benchmark",
-    "TransferBenchmark",
     "make_benchmark",
-    "make_transfer_benchmark",
     "default_arch_for",
     "select_informative",
     "pretrain_variant",
@@ -59,17 +57,7 @@ BATCH_SIZE = 32
 @dataclass
 class Benchmark:
     train_set: StudentSet    # C=10, 30/class, 10% planted outliers
-    eval_set: StudentSet     # held-out inliers of the same classes
-    eval_pairs: list         # frozen verification pairs from eval_set
-    seed: int
-
-
-@dataclass
-class TransferBenchmark:
-    source_set: StudentSet   # 10 classes for source training
-    target_train: StudentSet  # 20 held-out classes, training split
-    target_eval: StudentSet   # same 20 classes, evaluation split
-    seed: int
+    eval_pairs: list         # frozen verification pairs from held-out inliers
 
 
 def make_benchmark(seed: int) -> Benchmark:
@@ -95,9 +83,9 @@ def make_benchmark(seed: int) -> Benchmark:
         train_ids += inliers[:TRAIN_INLIERS_PER_CLASS] + outliers
         eval_ids += inliers[TRAIN_INLIERS_PER_CLASS:]
     train_set = subset_records(mother, train_ids)
-    eval_set = subset_records(mother, eval_ids)
-    pairs = make_verification_pairs(eval_set, n_pos=300, n_neg=300, seed=seed + 101)
-    return Benchmark(train_set=train_set, eval_set=eval_set, eval_pairs=pairs, seed=seed)
+    held_out = subset_records(mother, eval_ids)
+    pairs = make_verification_pairs(held_out, n_pos=300, n_neg=300, seed=seed + 101)
+    return Benchmark(train_set=train_set, eval_pairs=pairs)
 
 
 def default_arch_for(sset: StudentSet, identity_dim: int = 128) -> StudentArch:
@@ -123,7 +111,7 @@ def pretrain_variant(bench: Benchmark, seed: int) -> StudentModel:
         supervision="c", learning_rate=LEARNING_RATE, batch_size=BATCH_SIZE,
         epochs=PRETRAIN_EPOCHS, seed=seed,
     )
-    return pretrain_student(model, bench.train_set, pre_cfg)
+    return finetune(model, bench.train_set, None, pre_cfg)
 
 
 def train_variant(
@@ -168,7 +156,8 @@ TRANSFER_SOURCE_FINETUNE_EPOCHS = 150
 TRANSFER_TARGET_EPOCHS = 40
 
 
-def make_transfer_benchmark(seed: int) -> TransferBenchmark:
+def _transfer_sets(seed: int) -> tuple[StudentSet, StudentSet, StudentSet]:
+    """(source, target training split, target evaluation split)."""
     mother = synthesize(
         SynthConfig(
             C=TRANSFER_SOURCE_CLASSES + TRANSFER_TARGET_CLASSES,
@@ -193,27 +182,21 @@ def make_transfer_benchmark(seed: int) -> TransferBenchmark:
         members = target.class_members(c)
         train_ids += members[:TRANSFER_TARGET_TRAIN_PER_CLASS]
         eval_ids += members[TRANSFER_TARGET_TRAIN_PER_CLASS:]
-    return TransferBenchmark(
-        source_set=source,
-        target_train=subset_records(target, train_ids),
-        target_eval=subset_records(target, eval_ids),
-        seed=seed,
-    )
+    return source, subset_records(target, train_ids), subset_records(target, eval_ids)
 
 
 def transfer_comparison(seed: int) -> tuple[float, float]:
     """Top-1 error on held-out classes: (transferred, from scratch)."""
-    tb = make_transfer_benchmark(seed)
-    arch = default_arch_for(tb.source_set)
-    source = init_student(arch, seed)
-    source = pretrain_student(
-        source, tb.source_set,
+    source_set, target_train, target_eval = _transfer_sets(seed)
+    source = init_student(default_arch_for(source_set), seed)
+    source = finetune(
+        source, source_set, None,
         TrainConfig(supervision="c", learning_rate=LEARNING_RATE,
                     batch_size=BATCH_SIZE, epochs=PRETRAIN_EPOCHS, seed=seed),
     )
-    mask = select_informative(tb.source_set)
+    mask = select_informative(source_set)
     source = finetune(
-        source, tb.source_set, mask,
+        source, source_set, mask,
         TrainConfig(supervision="sc", learning_rate=LEARNING_RATE, batch_size=BATCH_SIZE,
                     epochs=TRANSFER_SOURCE_FINETUNE_EPOCHS, seed=seed + 1),
     )
@@ -222,12 +205,12 @@ def transfer_comparison(seed: int) -> tuple[float, float]:
         supervision="c", learning_rate=LEARNING_RATE, batch_size=BATCH_SIZE,
         epochs=TRANSFER_TARGET_EPOCHS, seed=seed + 2,
     )
-    transferred = transfer_student(source, new_class_count=tb.target_train.C, seed=seed + 3)
-    transferred = finetune(transferred, tb.target_train, None, target_cfg)
+    transferred = transfer_student(source, new_class_count=target_train.C, seed=seed + 3)
+    transferred = finetune(transferred, target_train, None, target_cfg)
 
-    scratch = init_student(default_arch_for(tb.target_train), seed + 4)
-    scratch = finetune(scratch, tb.target_train, None, target_cfg)
+    scratch = init_student(default_arch_for(target_train), seed + 4)
+    scratch = finetune(scratch, target_train, None, target_cfg)
 
-    t_err, _ = evaluate_identification(transferred, tb.target_eval)
-    s_err, _ = evaluate_identification(scratch, tb.target_eval)
+    t_err, _ = evaluate_identification(transferred, target_eval)
+    s_err, _ = evaluate_identification(scratch, target_eval)
     return t_err, s_err

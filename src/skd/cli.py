@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -30,7 +31,6 @@ from .distiller import (
     TrainConfig,
     TrainingDiverged,
     finetune,
-    pretrain_student,
 )
 from .evaluate import (
     evaluate_identification,
@@ -92,15 +92,13 @@ def _parse_grid(spec: str) -> list[float]:
         if not sep:
             raise ValueError(f"bad grid spec {spec!r} (expected pow2:<lo>..<hi>)")
         lo, hi = float(lo_s), float(hi_s)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"grid bounds must be finite, got {lo}..{hi}")
         if lo > hi or lo >= 0:
             raise ValueError(f"bad grid range {lo}..{hi}")
-        grid = []
-        k = 0
-        while -(2.0**k) >= lo:
-            if -(2.0**k) <= hi or hi == 0.0:
-                grid.append(-(2.0**k))
-            k += 1
-        grid = sorted(v for v in grid if lo <= v <= (hi if hi < 0 else -1.0))
+        top = hi if hi < 0 else -1.0
+        # 2**1023 is the largest finite power of two, so no finite lo overflows
+        grid = [-(2.0**k) for k in range(1023, -1, -1) if lo <= -(2.0**k) <= top]
         if hi == 0.0:
             grid.append(0.0)
         if not grid:
@@ -192,7 +190,7 @@ def cmd_pretrain(args) -> int:
         seed=args.seed,
     )
     metrics = args.metrics or (args.out + ".metrics.jsonl")
-    model = pretrain_student(model, sset, config, metrics_path=metrics)
+    model = finetune(model, sset, None, config, metrics_path=metrics)
     save_checkpoint(model, args.out)
     _write_echo("pretrain", args, args.out)
     print(f"pretrained {model.parameter_count()} parameters -> {args.out}")

@@ -1,4 +1,4 @@
-"""Losses and training: pretraining, joint fine-tuning, transfer, grad check.
+"""Losses and training: one entry for both training stages, transfer, grad check.
 
 The joint objective sums a softmax cross-entropy classification term over all
 records and a squared-Euclidean feature-regression term that pulls the mimic
@@ -9,7 +9,9 @@ tap toward the teacher feature for selected records only:
 
 Supervision signals: "c" classification only, "s" regression only, "sc" both
 with the selection mask, "dc" both with every record selected. Both terms
-carry unit weight by default (``reg_scale`` exists as an override).
+carry unit weight by default (``reg_scale`` exists as an override). The
+paper's two stages are two ``finetune`` calls: classification pretraining is
+supervision "c", the joint fine-tune is "sc".
 
 Training is plain mini-batch SGD with a seed-derived shuffle; everything here
 is deterministic given (config, seed, data).
@@ -18,7 +20,7 @@ is deterministic given (config, seed, data).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,6 @@ import numpy as np
 from .dataset import StudentSet
 from .selgraph import SelectionMask
 from .student import (
-    StudentArch,
     StudentModel,
     activation_derivative,
     forward_trace,
@@ -37,10 +38,7 @@ __all__ = [
     "SUPERVISION_MODES",
     "TrainConfig",
     "TrainingDiverged",
-    "classification_loss",
-    "regression_loss",
     "total_loss",
-    "pretrain_student",
     "finetune",
     "gradient_check",
     "transfer_student",
@@ -76,6 +74,8 @@ class TrainConfig:
             raise ValueError("batch_size >= 1 and epochs >= 0 required")
         if self.reg_scale < 0:
             raise ValueError("reg_scale must be nonnegative")
+        if self.normalize_targets and self.supervision == "c":
+            raise ValueError("normalize_targets needs a regression term; supervision 'c' has none")
 
 
 def _check_model_set(model: StudentModel, sset: StudentSet, need_classes: bool = True) -> None:
@@ -207,39 +207,6 @@ def _loss_and_grads(
     return cls, reg, grads
 
 
-def _set_loss(
-    model: StudentModel,
-    sset: StudentSet,
-    mask: SelectionMask | None,
-    supervision: str,
-    reg_scale: float,
-    normalize_targets: bool,
-) -> tuple[float, float]:
-    """(cls, reg) over the whole set; a term the signal does not train is 0.0."""
-    alpha, use_cls, use_reg = _supervision_terms(mask, supervision, len(sset))
-    _check_model_set(model, sset, need_classes=use_cls)
-    X, y, F = _stack(sset, normalize_targets)
-    acts = forward_trace(model, X)
-    alpha_rows = np.repeat(alpha, sset.N)
-    return _objective(model, acts, y, F, alpha_rows, reg_scale, use_cls, use_reg)[:2]
-
-
-def classification_loss(model: StudentModel, sset: StudentSet) -> float:
-    """Softmax cross-entropy summed over every record and degraded version."""
-    return _set_loss(model, sset, None, "c", 1.0, False)[0]
-
-
-def regression_loss(
-    model: StudentModel,
-    sset: StudentSet,
-    mask: SelectionMask,
-    reg_scale: float = 1.0,
-    normalize_targets: bool = False,
-) -> float:
-    """Squared mimic-to-teacher error summed over selected records only."""
-    return _set_loss(model, sset, mask, "s", reg_scale, normalize_targets)[1]
-
-
 def total_loss(
     model: StudentModel,
     sset: StudentSet,
@@ -248,8 +215,18 @@ def total_loss(
     reg_scale: float = 1.0,
     normalize_targets: bool = False,
 ) -> float:
-    """Supervised objective value for one of the c/s/sc/dc signals."""
-    cls, reg = _set_loss(model, sset, mask, supervision, reg_scale, normalize_targets)
+    """Supervised objective value over the whole set for one c/s/sc/dc signal.
+
+    "c" is the softmax cross-entropy summed over every record and degraded
+    version; "s" is the squared mimic-to-teacher error summed over the
+    selected records only.
+    """
+    alpha, use_cls, use_reg = _supervision_terms(mask, supervision, len(sset))
+    _check_model_set(model, sset, need_classes=use_cls)
+    X, y, F = _stack(sset, normalize_targets)
+    acts = forward_trace(model, X)
+    alpha_rows = np.repeat(alpha, sset.N)
+    cls, reg = _objective(model, acts, y, F, alpha_rows, reg_scale, use_cls, use_reg)[:2]
     return cls + reg
 
 
@@ -281,7 +258,7 @@ def _train(
 ) -> StudentModel:
     _check_model_set(model, sset)
     model = model.copy()
-    X, y, F = _stack(sset, config.normalize_targets and use_reg)
+    X, y, F = _stack(sset, config.normalize_targets)
     alpha_rows = np.repeat(alpha, sset.N)
     rng = np.random.default_rng(config.seed)
     n = len(sset)
@@ -333,22 +310,6 @@ def _train(
     return model
 
 
-def pretrain_student(
-    model: StudentModel,
-    sset: StudentSet,
-    config: TrainConfig,
-    metrics_path: str | Path | None = None,
-) -> StudentModel:
-    """Classification-only initialization over all records; returns a new model."""
-    if config.supervision != "c" or config.normalize_targets:
-        raise ValueError("pretraining is classification-only: it needs supervision='c' "
-                         "and normalize_targets=False")
-    return _train(
-        model, sset, np.zeros(len(sset)), config,
-        use_cls=True, use_reg=False, metrics_path=metrics_path,
-    )
-
-
 def finetune(
     model: StudentModel,
     sset: StudentSet,
@@ -356,9 +317,11 @@ def finetune(
     config: TrainConfig,
     metrics_path: str | Path | None = None,
 ) -> StudentModel:
-    """Joint fine-tuning under ``config.supervision``; returns a new model.
+    """Train under ``config.supervision``; returns a new model.
 
-    ``mask`` is required for "s" and "sc", ignored for "c" and "dc".
+    Supervision "c" is the classification-only pretraining stage, "sc" the
+    joint fine-tune. ``mask`` is required for "s" and "sc", ignored for "c"
+    and "dc".
     """
     alpha, use_cls, use_reg = _supervision_terms(mask, config.supervision, len(sset))
     return _train(model, sset, alpha, config, use_cls, use_reg, metrics_path)
@@ -375,15 +338,7 @@ def transfer_student(
     if new_class_count < 2:
         raise ValueError("new_class_count must be >= 2")
     seed = model.seed + 1 if seed is None else seed
-    new_arch = StudentArch(
-        input_dim=model.arch.input_dim,
-        mimic_dim=model.arch.mimic_dim,
-        class_count=new_class_count,
-        trunk=model.arch.trunk,
-        identity_dim=model.arch.identity_dim,
-        hidden_activation=model.arch.hidden_activation,
-        mimic_activation=model.arch.mimic_activation,
-    )
+    new_arch = replace(model.arch, class_count=new_class_count)
     new_arch.validate()
     rng = np.random.default_rng(seed)
     fresh = {l.name: l for l in init_layers(new_arch, rng, names={"identity", "head"})}

@@ -8,13 +8,11 @@ the default (it inverts the selection semantics).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import StudentSet
 
-__all__ = ["MEASURES", "CentroidTable", "pairwise_measure", "measure_matrix", "class_centroids"]
+__all__ = ["MEASURES", "pairwise_measure", "measure_matrix", "class_centroids"]
 
 MEASURES = ("cossim", "cosdist")
 
@@ -65,19 +63,8 @@ def measure_matrix(A: np.ndarray, B: np.ndarray, mode: str = "cossim") -> np.nda
     return 1.0 - cos
 
 
-@dataclass
-class CentroidTable:
-    """Per-class mean teacher features, shape (C, D)."""
-
-    centroids: np.ndarray
-
-    @property
-    def C(self) -> int:
-        return self.centroids.shape[0]
-
-
-def class_centroids(sset: StudentSet) -> CentroidTable:
-    """Exact arithmetic mean of teacher features per class.
+def class_centroids(sset: StudentSet) -> np.ndarray:
+    """Exact arithmetic mean of teacher features per class, shape (C, D).
 
     Summation is sequential in record-id order (``np.add.at`` is unbuffered)
     so results are reproducible. Raises ValueError if any class is empty.
@@ -88,4 +75,4 @@ def class_centroids(sset: StudentSet) -> CentroidTable:
     if np.any(counts == 0):
         empty = int(np.argmin(counts)) + 1
         raise ValueError(f"class {empty} is empty; centroid undefined")
-    return CentroidTable(sums / counts[:, None])
+    return sums / counts[:, None]

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import StudentSet
-from .metric import CentroidTable, measure_matrix
+from .metric import measure_matrix
 
 __all__ = [
     "SelectionGraph",
@@ -53,9 +53,6 @@ class SelectionMask:
     def selected_count(self) -> int:
         return int(self.alpha.sum())
 
-    def selected_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.alpha == 1)
-
     @classmethod
     def zeros(cls, n: int) -> "SelectionMask":
         return cls(np.zeros(n, dtype=np.int8))
@@ -76,7 +73,6 @@ class SelectionGraph:
     edge_i: np.ndarray          # (m,) lower endpoint of each intra-class edge
     edge_j: np.ndarray          # (m,) higher endpoint, label[i] == label[j]
     edge_w: np.ndarray          # (m,) nonnegative weight w_ij
-    measure: str = "cossim"
 
     @property
     def node_count(self) -> int:
@@ -92,10 +88,12 @@ class SelectionGraph:
         """Face-to-centroid connections absorbed into the unary costs."""
         return self.n_faces * (self.n_classes - 1)
 
-    def class_faces(self, label: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == label)
-
     def validate(self) -> None:
+        n = self.n_faces
+        if len(self.labels) != n or len(self.unary) != n:
+            raise ValueError(f"labels and unary costs need one entry per face ({n})")
+        if not len(self.edge_i) == len(self.edge_j) == len(self.edge_w):
+            raise ValueError("edge_i, edge_j and edge_w must have one length")
         if np.any((self.labels < 1) | (self.labels > self.n_classes)):
             raise ValueError(f"labels must lie in 1..{self.n_classes}")
         if not (np.all(np.isfinite(self.unary)) and np.all(self.unary >= 0.0)):
@@ -104,25 +102,29 @@ class SelectionGraph:
             raise ValueError("edge weights must be finite and nonnegative")
         if np.any(self.edge_i >= self.edge_j):
             raise ValueError("edges must be oriented i < j")
-        if np.any(self.labels[self.edge_i] != self.labels[self.edge_j]):
+        if np.any(self.edge_i < 0) or np.any(self.edge_j >= n):  # with i < j: all in range
+            raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
+        # labels are in 1..C here; gathering them narrowed is several times faster
+        labels = self.labels.astype(np.min_scalar_type(self.n_classes))
+        if np.any(labels[self.edge_i] != labels[self.edge_j]):
             raise ValueError("edges must connect faces of the same class")
 
 
 def build_selection_graph(
-    sset: StudentSet, centroids: CentroidTable, measure: str = "cossim"
+    sset: StudentSet, centroids: np.ndarray, measure: str = "cossim"
 ) -> SelectionGraph:
-    """Build the sparse selection graph from a set and its centroid table.
+    """Build the sparse selection graph from a set and its (C, D) class centroids.
 
     Nonnegativity of all unary costs and edge weights (which makes the energy
     exactly minimizable for any lam <= 0) is asserted before returning.
     """
-    if centroids.C != sset.C:
-        raise ValueError(f"centroid table has {centroids.C} classes, set has {sset.C}")
+    if len(centroids) != sset.C:
+        raise ValueError(f"centroids cover {len(centroids)} classes, set has {sset.C}")
     F = sset.features
     labels = sset.labels
     n = len(sset)
 
-    face_cent = measure_matrix(F, centroids.centroids, measure)  # (n, C)
+    face_cent = measure_matrix(F, centroids, measure)  # (n, C)
     own = face_cent[np.arange(n), labels - 1]
     unary = face_cent.sum(axis=1) - own
 
@@ -156,7 +158,6 @@ def build_selection_graph(
         edge_i=edge_i.astype(np.int64, copy=False),
         edge_j=edge_j.astype(np.int64, copy=False),
         edge_w=edge_w,
-        measure=measure,
     )
     graph.validate()
     return graph
@@ -172,12 +173,8 @@ def _check_lambda(lam: float) -> None:
 def energy(graph: SelectionGraph, mask: SelectionMask, lam: float) -> float:
     """Selection energy of ``mask`` at weight ``lam`` (pure, no mutation)."""
     _check_lambda(lam)
-    if len(mask) != graph.n_faces:
-        raise ValueError(f"mask length {len(mask)} != {graph.n_faces} faces")
-    a = mask.alpha.astype(np.float64)
-    unary_term = float(a @ graph.unary)
-    pair = float((a[graph.edge_i] * a[graph.edge_j]) @ graph.edge_w)
-    return unary_term + lam * pair
+    pair = pairwise_reward(graph, mask)
+    return float(mask.alpha.astype(np.float64) @ graph.unary) + lam * pair
 
 
 def pairwise_reward(graph: SelectionGraph, mask: SelectionMask) -> float:

@@ -19,7 +19,7 @@ from skd.benchmark import (
 )
 from skd.cli import main
 from skd.dataset import StudentSet, SynthConfig, load_student_set, synthesize
-from skd.distiller import TrainConfig, finetune, gradient_check, pretrain_student, transfer_student
+from skd.distiller import TrainConfig, finetune, gradient_check, transfer_student
 from skd.metric import class_centroids, pairwise_measure
 from skd.mincut import brute_force_minimize, default_lambda_grid, lambda_sweep, load_mask, minimize
 from skd.selgraph import SelectionMask, build_selection_graph
@@ -139,7 +139,7 @@ def test_criterion_7_transfer_contract():
     arch = StudentArch(input_dim=3, mimic_dim=6, class_count=3, trunk=(5,), identity_dim=4)
     model = init_student(arch, seed=41)
     cfg = TrainConfig(supervision="c", learning_rate=1e-3, epochs=5, seed=1)
-    model = pretrain_student(model, sset, cfg)
+    model = finetune(model, sset, None, cfg)
     moved = transfer_student(model, new_class_count=3)
     frozen = moved.frozen_parameter_bytes()
     trained = finetune(moved, sset, None, cfg)
@@ -166,7 +166,7 @@ def test_criterion_8_metric_exactness():
     table = class_centroids(sset)
     for c in range(4):
         oracle = np.array([math.fsum(f[d] for f in feats[c]) / 40 for d in range(12)])
-        rel = np.abs(table.centroids[c] - oracle) / np.maximum(np.abs(oracle), 1e-300)
+        rel = np.abs(table[c] - oracle) / np.maximum(np.abs(oracle), 1e-300)
         assert rel.max() < 1e-12
 
     # symmetry and positive-scale invariance over 10^4 random trials

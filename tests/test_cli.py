@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from skd.cli import main
+from skd.cli import _parse_grid, main
 from skd.dataset import load_student_set
-from skd.distiller import classification_loss, regression_loss, total_loss
+from skd.distiller import total_loss
 from skd.mincut import load_mask, save_mask
 from skd.selgraph import SelectionMask
 from skd.student import StudentArch, init_student, load_checkpoint, save_checkpoint
@@ -85,6 +85,25 @@ class TestSweep:
 
     def test_bad_grid_spec(self, toy_set, tmp_path):
         assert main(["sweep", "--set", str(toy_set), "--grid", "geom:1..2",
+                     "--out", str(tmp_path / "s.csv")]) == 5
+
+    @pytest.mark.parametrize("spec, grid", [
+        ("pow2:-8192..0", [-(2.0**k) for k in range(13, -1, -1)] + [0.0]),
+        ("pow2:-8..-0.5", [-8.0, -4.0, -2.0, -1.0]),
+        ("pow2:-8..5", [-8.0, -4.0, -2.0, -1.0]),
+        ("list:0,-1,-3", [-3.0, -1.0, 0.0]),
+    ])
+    def test_grid_values(self, spec, grid):
+        assert _parse_grid(spec) == grid
+
+    def test_pow2_grid_reaches_largest_finite_power(self):
+        grid = _parse_grid("pow2:-1e308..0")
+        assert len(grid) == 1025 and grid[0] == -(2.0**1023) and grid[-2:] == [-1.0, 0.0]
+
+    @pytest.mark.parametrize("spec", ["pow2:-inf..0", "pow2:nan..0", "pow2:-8..inf",
+                                      "pow2:-1..-2", "pow2:-0.5..-0.25"])
+    def test_invalid_pow2_grid_exit_5(self, toy_set, tmp_path, spec):
+        assert main(["sweep", "--set", str(toy_set), "--grid", spec,
                      "--out", str(tmp_path / "s.csv")]) == 5
 
 
@@ -218,6 +237,13 @@ class TestPipeline:
                      "--out", str(d / "x.ckpt")])
         assert code == 5
 
+    def test_finetune_c_rejects_normalize_targets(self, tmp_path):
+        d = self.run_pipeline(tmp_path, "cnorm", supervision="c")
+        code = main(["finetune", "--set", str(d / "set.skd"), "--ckpt", str(d / "pre.ckpt"),
+                     "--supervision", "c", "--normalize-targets", "--epochs", "1",
+                     "--out", str(d / "x.ckpt")])
+        assert code == 5
+
     def test_finetune_mask_length_mismatch_exit_5(self, tmp_path):
         d = self.run_pipeline(tmp_path, "short", supervision="c")
         short = d / "short.mask"
@@ -317,8 +343,8 @@ class TestGoldenTrajectory:
             lines.append(f"{mode}.ckpt.metrics.jsonl {sha(d / (mode + '.ckpt.metrics.jsonl'))}")
             model = load_checkpoint(out)
             scale = float(self.REG_SCALE)
-            lines.append(f"{mode} cls {classification_loss(model, sset)!r}")
-            lines.append(f"{mode} reg {regression_loss(model, sset, mask, scale)!r}")
+            lines.append(f"{mode} cls {total_loss(model, sset, None, 'c')!r}")
+            lines.append(f"{mode} reg {total_loss(model, sset, mask, 's', scale)!r}")
             lines.append(f"{mode} total {total_loss(model, sset, mask, mode, scale)!r}")
         return "\n".join(lines)
 

@@ -10,11 +10,8 @@ from skd.dataset import StudentSet, SynthConfig, synthesize
 from skd.distiller import (
     TrainConfig,
     TrainingDiverged,
-    classification_loss,
     finetune,
     gradient_check,
-    pretrain_student,
-    regression_loss,
     total_loss,
     transfer_student,
 )
@@ -44,7 +41,7 @@ class TestClassificationLoss:
         sset = tiny_set(C=4, per_class=2)
         model = zeroed(init_student(arch_for(sset), seed=0))
         n_samples = len(sset) * sset.N
-        assert classification_loss(model, sset) == pytest.approx(
+        assert total_loss(model, sset, None, "c") == pytest.approx(
             n_samples * math.log(4), abs=1e-10
         )
 
@@ -61,12 +58,12 @@ class TestClassificationLoss:
         model.layers[-1].b[:] = -50.0
         model.layers[-1].b[one.labels[0] - 1] = 50.0
         # classes 2,3 empty is fine for loss computation (no centroid math here)
-        assert classification_loss(model, one) == pytest.approx(0.0, abs=1e-10)
+        assert total_loss(model, one, None, "c") == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_scalar_oracle(self):
         sset = tiny_set(C=3, per_class=4, N=2, seed=5)
         model = init_student(arch_for(sset), seed=9)
-        total = classification_loss(model, sset)
+        total = total_loss(model, sset, None, "c")
         oracle = 0.0
         for label, xs in zip(sset.labels, sset.inputs):
             for x in xs:
@@ -81,7 +78,7 @@ class TestRegressionLoss:
     def test_zero_mask_is_zero(self):
         sset = tiny_set()
         model = init_student(arch_for(sset), seed=1)
-        assert regression_loss(model, sset, SelectionMask.zeros(len(sset))) == 0.0
+        assert total_loss(model, sset, SelectionMask.zeros(len(sset)), "s") == 0.0
 
     def test_perfect_mimic_is_zero(self):
         # identity network, targets equal to the inputs
@@ -95,7 +92,7 @@ class TestRegressionLoss:
         model.layers[1].W = np.eye(2)
         for l in model.layers:
             l.b[:] = 0.0
-        assert regression_loss(model, sset, SelectionMask.ones(2)) == pytest.approx(0.0, abs=0)
+        assert total_loss(model, sset, SelectionMask.ones(2), "s") == pytest.approx(0.0, abs=0)
 
     def test_scalar_oracle_single_record(self):
         sset = tiny_set(C=2, per_class=1, N=1, seed=2)
@@ -103,20 +100,20 @@ class TestRegressionLoss:
         model = init_student(arch_for(sset), seed=4)
         mimic, _ = forward_batch(model, np.asarray(one.inputs[0, 0])[None, :])
         expected = float(np.sum((mimic[0] - one.features[0]) ** 2))
-        got = regression_loss(model, one, SelectionMask.ones(1))
+        got = total_loss(model, one, SelectionMask.ones(1), "s")
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_mask_length_checked(self):
         sset = tiny_set()
         model = init_student(arch_for(sset), seed=0)
         with pytest.raises(ValueError, match="mask length"):
-            regression_loss(model, sset, SelectionMask.zeros(3))
+            total_loss(model, sset, SelectionMask.zeros(3), "s")
 
     def test_reg_scale(self):
         sset = tiny_set(seed=3)
         model = init_student(arch_for(sset), seed=3)
-        base = regression_loss(model, sset, SelectionMask.ones(len(sset)))
-        scaled = regression_loss(model, sset, SelectionMask.ones(len(sset)), reg_scale=0.25)
+        base = total_loss(model, sset, SelectionMask.ones(len(sset)), "s")
+        scaled = total_loss(model, sset, SelectionMask.ones(len(sset)), "s", reg_scale=0.25)
         assert scaled == pytest.approx(0.25 * base, rel=1e-12)
 
 
@@ -126,7 +123,7 @@ class TestTotalLoss:
         model = init_student(arch_for(sset), seed=7)
         mask = SelectionMask(np.random.default_rng(0).integers(0, 2, len(sset)).astype(np.int8))
         total = total_loss(model, sset, mask, "sc")
-        parts = classification_loss(model, sset) + regression_loss(model, sset, mask)
+        parts = total_loss(model, sset, None, "c") + total_loss(model, sset, mask, "s")
         assert total == pytest.approx(parts, abs=1e-12)
 
     def test_dc_equals_sc_with_ones(self):
@@ -139,13 +136,17 @@ class TestTotalLoss:
     def test_c_ignores_regression(self):
         sset = tiny_set(seed=9)
         model = init_student(arch_for(sset), seed=9)
-        assert total_loss(model, sset, None, "c") == classification_loss(model, sset)
+        c = total_loss(model, sset, None, "c")
+        assert total_loss(model, sset, None, "c", reg_scale=7.0, normalize_targets=True) == c
+        assert total_loss(model, sset, SelectionMask.zeros(len(sset)), "sc") == c
 
     def test_s_is_regression_only(self):
         sset = tiny_set(seed=10)
         model = init_student(arch_for(sset), seed=10)
         mask = SelectionMask.ones(len(sset))
-        assert total_loss(model, sset, mask, "s") == regression_loss(model, sset, mask)
+        relabeled = StudentSet(np.roll(sset.labels, 1), sset.features, sset.inputs, C=sset.C)
+        assert total_loss(model, relabeled, mask, "s") == total_loss(model, sset, mask, "s")
+        assert total_loss(model, relabeled, mask, "sc") != total_loss(model, sset, mask, "sc")
 
     def test_unknown_supervision(self):
         sset = tiny_set()
@@ -165,16 +166,16 @@ class TestTraining:
         sset = tiny_set(seed=11)
         model = init_student(arch_for(sset), seed=11)
         cfg = TrainConfig(supervision="c", learning_rate=0.0, epochs=3, seed=1)
-        trained = pretrain_student(model, sset, cfg)
+        trained = finetune(model, sset, None, cfg)
         assert trained.parameter_bytes() == model.parameter_bytes()
 
     def test_pretrain_reduces_loss(self):
         sset = synthesize(SynthConfig(C=3, per_class_count=10, D=6, d_in=3, N=2,
                                       noise_scale=0.1, seed=12))
         model = init_student(arch_for(sset, trunk=(8,)), seed=12)
-        before = classification_loss(model, sset)
+        before = total_loss(model, sset, None, "c")
         cfg = TrainConfig(supervision="c", learning_rate=1e-3, epochs=50, seed=2)
-        after = classification_loss(pretrain_student(model, sset, cfg), sset)
+        after = total_loss(finetune(model, sset, None, cfg), sset, None, "c")
         assert after < before
 
     def test_finetune_sc_regression_strictly_decreases(self, tmp_path):
@@ -192,7 +193,7 @@ class TestTraining:
         sset = tiny_set(seed=14)
         model = init_student(arch_for(sset), seed=14)
         cfg = TrainConfig(supervision="c", learning_rate=1e-4, epochs=2, seed=0)
-        pretrain_student(model, sset, cfg, metrics_path=tmp_path / "m.jsonl")
+        finetune(model, sset, None, cfg, metrics_path=tmp_path / "m.jsonl")
         lines = (tmp_path / "m.jsonl").read_text().splitlines()
         assert [json.loads(l)["epoch"] for l in lines] == [1, 2]
         assert set(json.loads(lines[0])) == {"epoch", "cls", "reg", "total"}
@@ -253,17 +254,12 @@ class TestTraining:
                            trunk=(4,), identity_dim=4)
         model = init_student(arch, seed=0)
         with pytest.raises(ValueError, match="mimic dim"):
-            pretrain_student(model, sset, TrainConfig(supervision="c", epochs=1))
+            finetune(model, sset, None, TrainConfig(supervision="c", epochs=1))
 
-    @pytest.mark.parametrize("settings", [
-        dict(supervision="sc"), dict(supervision="s"), dict(supervision="dc"),
-        dict(supervision="c", normalize_targets=True),
-    ])
-    def test_pretrain_rejects_regression_settings(self, settings):
-        sset = tiny_set(seed=18)
-        model = init_student(arch_for(sset), seed=18)
-        with pytest.raises(ValueError, match="classification-only"):
-            pretrain_student(model, sset, TrainConfig(epochs=1, **settings))
+    def test_config_rejects_normalized_targets_for_c(self):
+        with pytest.raises(ValueError, match="normalize_targets"):
+            TrainConfig(supervision="c", normalize_targets=True)
+        TrainConfig(supervision="c", reg_scale=0.3)  # read by no term, but accepted
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -292,8 +288,8 @@ class TestNormalizeTargets:
         assert normalized.parameter_bytes() == plain.parameter_bytes()
         raw = finetune(model, sset, mask, TrainConfig(**cfg))
         assert raw.parameter_bytes() != plain.parameter_bytes()
-        assert regression_loss(model, sset, mask, 0.5, normalize_targets=True) == (
-            regression_loss(model, unit, mask, 0.5)
+        assert total_loss(model, sset, mask, "s", 0.5, normalize_targets=True) == (
+            total_loss(model, unit, mask, "s", 0.5)
         )
 
 
@@ -346,7 +342,7 @@ class TestTransfer:
         sset = tiny_set(C=3, per_class=4, seed=21)
         model = init_student(arch_for(sset), seed=21)
         cfg = TrainConfig(supervision="c", learning_rate=1e-3, epochs=3, seed=7)
-        model = pretrain_student(model, sset, cfg)
+        model = finetune(model, sset, None, cfg)
         moved = transfer_student(model, new_class_count=3)
         frozen_before = moved.frozen_parameter_bytes()
         trained = finetune(moved, sset, None, cfg)
@@ -456,13 +452,13 @@ class TestPinnedNumerics:
                               epochs=3, seed=8)
         sc_cfg = TrainConfig(supervision="sc", learning_rate=2e-2, batch_size=4,
                              epochs=3, seed=9, reg_scale=0.3, normalize_targets=True)
-        tanh, d = self.train(tmp_path, "tanh pre", pretrain_student,
-                             init_student(arch, seed=31), sset, pre_cfg)
+        tanh, d = self.train(tmp_path, "tanh pre", finetune,
+                             init_student(arch, seed=31), sset, None, pre_cfg)
         out.update(d)
         out.update(self.train(tmp_path, "tanh sc", finetune, tanh, sset, mask, sc_cfg)[1])
 
-        relu = pretrain_student(init_student(arch_for(sset, trunk=(6,)), seed=32), sset,
-                                pre_cfg)
+        relu = finetune(init_student(arch_for(sset, trunk=(6,)), seed=32), sset, None,
+                        pre_cfg)
         moved = transfer_student(relu, new_class_count=sset.C, seed=33)
         c_cfg = TrainConfig(supervision="c", learning_rate=2e-2, batch_size=4,
                             epochs=3, seed=10)

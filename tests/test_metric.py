@@ -80,12 +80,12 @@ def test_centroid_of_identical_vectors():
     v = [0.2, 0.4, 0.4]
     s = build_set([[v, v, v]])
     table = class_centroids(s)
-    assert np.allclose(table.centroids[0], v, atol=0)
+    assert np.allclose(table[0], v, atol=0)
 
 
 def test_two_point_centroid():
     s = build_set([[[1.0, 0.0], [0.0, 1.0]]])
-    assert np.array_equal(class_centroids(s).centroids[0], [0.5, 0.5])
+    assert np.array_equal(class_centroids(s)[0], [0.5, 0.5])
 
 
 def test_centroids_match_resummation_oracle():
@@ -98,7 +98,7 @@ def test_centroids_match_resummation_oracle():
         oracle = np.array([
             math.fsum(f[d] for f in feats[c]) / len(feats[c]) for d in range(16)
         ])
-        rel = np.abs(table.centroids[c] - oracle) / np.maximum(np.abs(oracle), 1e-300)
+        rel = np.abs(table[c] - oracle) / np.maximum(np.abs(oracle), 1e-300)
         assert rel.max() < 1e-12
 
 
@@ -108,7 +108,7 @@ def test_centroid_permutation_invariance():
     s1 = build_set(feats)
     shuffled = [list(reversed(f)) for f in feats]
     s2 = build_set(shuffled)
-    c1, c2 = class_centroids(s1).centroids, class_centroids(s2).centroids
+    c1, c2 = class_centroids(s1), class_centroids(s2)
     assert np.all(np.abs(c1 - c2) / np.maximum(np.abs(c1), 1e-300) < 1e-12)
 
 
@@ -123,7 +123,7 @@ def test_centroids_sum_sequentially_in_record_order():
         sums[label - 1] += f
     expected = sums / np.bincount(labels - 1)[:, None]
     s = StudentSet(labels, feats, np.zeros((200, 1, 1)), C=4)
-    assert class_centroids(s).centroids.tobytes() == expected.tobytes()
+    assert class_centroids(s).tobytes() == expected.tobytes()
 
 
 def test_empty_class_errors():

@@ -98,10 +98,31 @@ class TestBuild:
 
     def test_centroid_class_count_mismatch(self):
         s = three_face_set()
-        table = class_centroids(s)
-        table.centroids = table.centroids[:1]
         with pytest.raises(ValueError):
-            build_selection_graph(s, table)
+            build_selection_graph(s, class_centroids(s)[:1])
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, 7)])
+    def test_edge_endpoint_outside_faces_rejected(self, three_face_graph, i, j):
+        three_face_graph.edge_i = np.array([i])
+        three_face_graph.edge_j = np.array([j])
+        with pytest.raises(ValueError, match=r"endpoints must lie in 0\.\.2"):
+            three_face_graph.validate()
+
+    @pytest.mark.parametrize("field", ["labels", "unary"])
+    def test_face_count_mismatch_rejected(self, three_face_graph, field):
+        three_face_graph.n_faces = 5
+        with pytest.raises(ValueError, match="one entry per face"):
+            three_face_graph.validate()
+        three_face_graph.n_faces = 3
+        setattr(three_face_graph, field, getattr(three_face_graph, field)[:2])
+        with pytest.raises(ValueError, match="one entry per face"):
+            three_face_graph.validate()
+
+    @pytest.mark.parametrize("field", ["edge_i", "edge_j", "edge_w"])
+    def test_edge_array_length_mismatch_rejected(self, three_face_graph, field):
+        setattr(three_face_graph, field, np.repeat(getattr(three_face_graph, field), 2))
+        with pytest.raises(ValueError, match="one length"):
+            three_face_graph.validate()
 
 
 class TestEnergy:
