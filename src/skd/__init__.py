@@ -4,9 +4,20 @@ Pipeline: synthesize or load a student set, build the per-class selection
 graph from teacher features, exactly minimize the binary selection energy via
 min-cut, then train a compact student under joint classification plus masked
 feature regression.
+
+Importing skd defaults the BLAS libraries to one thread, before numpy loads:
+at this package's matrix sizes a second BLAS thread costs time, and training
+runs its metrics pass on a second Python thread instead. A BLAS thread count
+already set in the environment is kept.
 """
 
-from .dataset import (
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
+from .dataset import (  # noqa: E402
     FormatError,
     StudentSet,
     SynthConfig,

@@ -20,6 +20,7 @@ is deterministic given (config, seed, data).
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .dataset import StudentSet
 from .selgraph import SelectionMask
 from .student import (
     StudentModel,
+    _forward_layers,
     activation_derivative,
     forward_trace,
     init_layers,
@@ -240,11 +242,80 @@ def _sgd_step(model: StudentModel, grads, lr: float) -> None:
             layer.b -= db
 
 
-def _emit_metrics(handle, epoch: int, cls: float, reg: float, total: float) -> None:
-    if handle is not None:
-        handle.write(
-            json.dumps({"epoch": epoch, "cls": cls, "reg": reg, "total": total}) + "\n"
+def _diverged(epoch: int) -> TrainingDiverged:
+    return TrainingDiverged(
+        f"non-finite loss at epoch {epoch} (learning rate too high for this data?)"
+    )
+
+
+class _EpochLog:
+    """Full-set log passes on one worker thread, settled in epoch order.
+
+    ``submit`` hands the worker a parameter snapshot and returns at once, so
+    the caller trains the next epoch meanwhile; at most one pass is in flight.
+    ``settle`` waits for the pending pass, checks that its total is finite and
+    writes its metrics line, so the file and any error are those of running
+    the pass in line. The worker calls no public skd function: a tracer that
+    wraps them (``forward_trace`` among them) keeps one span stack, and would
+    nest the worker's spans under whatever the training thread is doing.
+    """
+
+    def __init__(self, X, y, F, alpha_rows, reg_scale, use_cls, use_reg, handle):
+        self._use = (use_cls, use_reg)
+        self._handle = handle
+        self._pending: int | None = None  # epoch of the pass in flight
+        self._job: StudentModel | None = None
+        self._out: tuple[float, float] | BaseException | None = None
+        self._ready = threading.Semaphore(0)
+        self._done = threading.Semaphore(0)
+        self._thread = threading.Thread(
+            target=self._work, args=(X, y, F, alpha_rows, reg_scale), name="skd-epoch-log"
         )
+        self._thread.start()
+
+    def _work(self, X, y, F, alpha_rows, reg_scale) -> None:
+        # errstate is per thread; overflow surfaces as a non-finite total
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                self._ready.acquire()
+                model = self._job
+                if model is None:
+                    return
+                try:
+                    acts = _forward_layers(model, X)
+                    self._out = _objective(model, acts, y, F, alpha_rows, reg_scale)[:2]
+                except BaseException as exc:  # re-raised on the training thread
+                    self._out = exc
+                self._done.release()
+
+    def submit(self, epoch: int, model: StudentModel) -> None:
+        self.settle()
+        self._job = model.copy()
+        self._pending = epoch
+        self._ready.release()
+
+    def settle(self) -> None:
+        if self._pending is None:
+            return
+        epoch, self._pending = self._pending, None
+        self._done.acquire()
+        if isinstance(self._out, BaseException):
+            raise self._out
+        cls, reg = self._out
+        use_cls, use_reg = self._use
+        total = cls * use_cls + reg * use_reg
+        if not np.isfinite(total):
+            raise _diverged(epoch)
+        if self._handle is not None:
+            self._handle.write(
+                json.dumps({"epoch": epoch, "cls": cls, "reg": reg, "total": total}) + "\n"
+            )
+
+    def close(self) -> None:
+        """Stop the worker; a pass in flight finishes first and is dropped."""
+        self._job = None
+        self._ready.release()
+        self._thread.join()
 
 
 def _train(
@@ -265,6 +336,7 @@ def _train(
     versions = np.arange(sset.N)
 
     handle = open(metrics_path, "w", encoding="ascii") if metrics_path is not None else None
+    log = _EpochLog(X, y, F, alpha_rows, config.reg_scale, use_cls, use_reg, handle)
     try:
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n)
@@ -283,28 +355,18 @@ def _train(
                         use_reg,
                         config.reg_scale,
                     )
-                batch_loss = cls + reg
-                if not np.isfinite(batch_loss):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch} "
-                        "(learning rate too high for this data?)"
-                    )
+                if not np.isfinite(cls + reg):
+                    log.settle()  # an earlier epoch's log may have diverged first
+                    raise _diverged(epoch)
                 _sgd_step(model, grads, config.learning_rate)
             if handle is None and epoch < config.epochs:
                 continue  # no metrics file: only the last epoch's log runs, to check divergence
-            # Epoch log: full-set component values at the current parameters.
-            with np.errstate(over="ignore", invalid="ignore"):
-                acts = forward_trace(model, X)
-                cls_full, reg_full = _objective(
-                    model, acts, y, F, alpha_rows, config.reg_scale
-                )[:2]
-            total = cls_full * use_cls + reg_full * use_reg
-            if not np.isfinite(total):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch} (learning rate too high for this data?)"
-                )
-            _emit_metrics(handle, epoch, cls_full, reg_full, total)
+            # Epoch log: full-set component values at this epoch's parameters,
+            # computed while the next epoch trains.
+            log.submit(epoch, model)
+        log.settle()
     finally:
+        log.close()
         if handle is not None:
             handle.close()
     return model

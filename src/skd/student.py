@@ -192,6 +192,16 @@ def forward_trace(model: StudentModel, X: np.ndarray) -> list[np.ndarray]:
 
     Returns acts with acts[0] = X and acts[k+1] = output of layer k.
     """
+    return _forward_layers(model, X)
+
+
+def _forward_layers(model: StudentModel, X: np.ndarray) -> list[np.ndarray]:
+    """The loop of :func:`forward_trace`.
+
+    The training log pass calls it from a worker thread, so that nothing
+    wrapped around ``forward_trace`` (a profiler's span) runs off the caller's
+    thread.
+    """
     acts = [np.asarray(X, dtype=np.float64)]
     for layer in model.layers:
         z = acts[-1] @ layer.W.T

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -208,13 +211,13 @@ class TestTraining:
         logged = finetune(model, sset, mask, cfg, metrics_path=tmp_path / "m.jsonl")
 
         full_passes = []
-        inner = distiller.forward_trace
+        inner = distiller._forward_layers
 
         def counting(m, X):
             full_passes.append(len(X) == len(sset) * sset.N)
             return inner(m, X)
 
-        monkeypatch.setattr(distiller, "forward_trace", counting)
+        monkeypatch.setattr(distiller, "_forward_layers", counting)
         quiet = finetune(model, sset, mask, cfg)
         assert quiet.parameter_bytes() == logged.parameter_bytes()
         assert sum(full_passes) == 1  # only the final epoch's log pass
@@ -268,6 +271,122 @@ class TestTraining:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1)
+
+
+class TestEpochLogOverlap:
+    """The full-set log pass of epoch e runs on a worker thread during epoch e+1.
+
+    The metrics file, the error raised and its epoch must be those of running
+    each pass in line, and no thread or warning may outlive the call.
+    """
+
+    @staticmethod
+    def poison_log_pass(monkeypatch, sset, at_pass, result=None, exc=None):
+        """Make the ``at_pass``-th full-set objective return ``result`` or raise ``exc``.
+
+        Training batches must hold fewer rows than the set, or they count too.
+        """
+        inner = distiller._objective
+        passes = []
+
+        def poisoned(model, acts, y, *args):
+            out = inner(model, acts, y, *args)
+            if len(y) == len(sset) * sset.N:
+                passes.append(1)
+                if len(passes) == at_pass:
+                    if exc is not None:
+                        raise exc
+                    return result + out[2:]
+            return out
+
+        monkeypatch.setattr(distiller, "_objective", poisoned)
+
+    def test_log_pass_divergence_names_its_epoch(self, tmp_path, monkeypatch):
+        sset = tiny_set(seed=19)
+        model = init_student(arch_for(sset), seed=19)
+        self.poison_log_pass(monkeypatch, sset, at_pass=4, result=(math.inf, 0.0))
+        cfg = TrainConfig(supervision="c", learning_rate=1e-3, batch_size=4, epochs=8, seed=1)
+        metrics = tmp_path / "m.jsonl"
+        threads = threading.active_count()
+        with pytest.raises(TrainingDiverged, match=r"at epoch 4 \("):
+            finetune(model, sset, None, cfg, metrics_path=metrics)
+        assert len(metrics.read_text().splitlines()) == 3
+        assert threading.active_count() == threads
+
+    # (learning rate, message epoch, SHA-256 of the metrics file), pinned from
+    # the loop that ran each log pass in line. At 0.2 a batch of epoch 4
+    # diverges while the pass of epoch 3 is pending; at 10 the pass of epoch 2
+    # is non-finite and must win over anything epoch 3 does meanwhile.
+    @pytest.mark.parametrize("lr, epoch, digest", [
+        (0.2, 4, "3282e76a0a4b869aa2c6e9771dafe63f53104b792401ff22436e5d66907fb66d"),
+        (10.0, 2, "13da8cf3e245d88fd1145adee5c619ca01afcaa7f8504d7dec1df271b4ef7488"),
+    ])
+    def test_divergence_with_a_pass_pending(self, tmp_path, lr, epoch, digest):
+        sset = tiny_set(seed=17)
+        model = init_student(arch_for(sset), seed=17)
+        cfg = TrainConfig(supervision="dc", learning_rate=lr, batch_size=4, epochs=30, seed=6)
+        metrics = tmp_path / "m.jsonl"
+        with pytest.raises(TrainingDiverged) as info:
+            finetune(model, sset, None, cfg, metrics_path=metrics)
+        assert str(info.value) == (
+            f"non-finite loss at epoch {epoch} (learning rate too high for this data?)"
+        )
+        assert hashlib.sha256(metrics.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("metrics_file", [True, False])
+    def test_worker_error_keeps_its_type(self, tmp_path, monkeypatch, metrics_file):
+        sset = tiny_set(seed=20)
+        model = init_student(arch_for(sset), seed=20)
+        self.poison_log_pass(monkeypatch, sset, at_pass=1, exc=KeyError("log pass"))
+        cfg = TrainConfig(supervision="c", learning_rate=1e-3, batch_size=4, epochs=3, seed=2)
+        threads = threading.active_count()
+        with pytest.raises(KeyError, match="log pass"):
+            finetune(model, sset, None, cfg, tmp_path / "m.jsonl" if metrics_file else None)
+        assert threading.active_count() == threads
+
+    def test_no_runtime_warning_escapes_the_worker(self, tmp_path):
+        # at lr 10 the log pass of epoch 2 overflows while its batches stay finite
+        sset = tiny_set(seed=17)
+        model = init_student(arch_for(sset), seed=17)
+        cfg = TrainConfig(supervision="dc", learning_rate=10.0, batch_size=4, epochs=30, seed=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged, match="at epoch 2 "):
+                finetune(model, sset, None, cfg, metrics_path=tmp_path / "m.jsonl")
+
+    def test_concurrent_calls_under_fast_thread_switching(self, tmp_path):
+        sset = tiny_set(seed=22)
+        model = init_student(arch_for(sset), seed=22)
+        cfg = TrainConfig(supervision="dc", learning_rate=1e-3, batch_size=4, epochs=40, seed=4)
+        reference = finetune(model, sset, None, cfg, metrics_path=tmp_path / "ref.jsonl")
+        results = {}
+
+        def train(k):
+            results[k] = finetune(model, sset, None, cfg, metrics_path=tmp_path / f"{k}.jsonl")
+
+        runs = [threading.Thread(target=train, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for run in runs:
+                run.start()
+            for run in runs:
+                run.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(run.is_alive() for run in runs)
+        for k in range(4):
+            assert results[k].parameter_bytes() == reference.parameter_bytes()
+            assert (tmp_path / f"{k}.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+
+    def test_no_thread_outlives_a_normal_return(self, tmp_path):
+        sset = tiny_set(seed=21)
+        model = init_student(arch_for(sset), seed=21)
+        cfg = TrainConfig(supervision="c", learning_rate=1e-3, epochs=4, seed=3)
+        threads = threading.active_count()
+        finetune(model, sset, None, cfg, metrics_path=tmp_path / "m.jsonl")
+        finetune(model, sset, None, cfg)
+        assert threading.active_count() == threads
 
 
 class TestNormalizeTargets:
