@@ -14,6 +14,9 @@ emulating samples the teacher embedded incorrectly.
 
 from __future__ import annotations
 
+import itertools
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -175,12 +178,13 @@ def save_student_set(sset: StudentSet, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _exact_values(lines: list[str], N: int) -> list[float]:
-    """``float()`` of every value field of SKD1 body ``lines`` (file line 2 on);
-    FormatError at the first line with an unparseable or non-finite value."""
+def _exact_values(lines: list[str], N: int, first: int) -> list[float]:
+    """``float()`` of every value field of consecutive SKD1 body ``lines``, the
+    first of which is file line ``first`` and starts a record; FormatError at
+    the first line with an unparseable or non-finite value."""
     values: list[float] = []
-    for lineno, line in enumerate(lines, start=2):
-        head = 3 if (lineno - 2) % (N + 1) == 0 else 1
+    for lineno, line in enumerate(lines, start=first):
+        head = 3 if (lineno - first) % (N + 1) == 0 else 1
         try:
             row = [float(v) for v in line.split(",")[head:]]
         except ValueError as exc:
@@ -191,80 +195,160 @@ def _exact_values(lines: list[str], N: int) -> list[float]:
     return values
 
 
+class _Lines:
+    """Iterator over an open text file's lines, without their newlines.
+
+    ``count`` is the number of the last non-blank line read so far, so once
+    the file is drained it is the file's line count without trailing blank
+    lines.
+    """
+
+    def __init__(self, f):
+        self._f = f
+        self.lineno = 0
+        self.count = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        line = next(self._f)
+        self.lineno += 1
+        if line != "\n":
+            self.count = self.lineno
+        return line[:-1] if line[-1] == "\n" else line
+
+    def drain(self) -> None:
+        for _ in self:
+            pass
+
+
+# Records bulk-parsed at once: the text held while loading is bounded by this
+# group, not by the file.
+_GROUP_RECORDS = 256
+
+
 def load_student_set(path: str | Path) -> StudentSet:
-    """Parse an SKD1 file. Raises FormatError naming the offending line."""
-    raw = Path(path).read_text(encoding="ascii").split("\n")
-    # Trailing blank lines are tolerated; blank lines elsewhere are not.
-    while raw and raw[-1] == "":
-        raw.pop()
-    if not raw:
-        raise FormatError("empty file", line=1)
+    """Parse an SKD1 file. Raises FormatError naming the offending line.
 
-    header = raw[0].split()
-    if len(header) != 6 or header[0] != "SKD1":
-        raise FormatError("malformed header (expected 'SKD1 n C D d_in N')", line=1)
+    The file is read line by line and its values are parsed a group of
+    records at a time into the set's arrays. It is read to the end before any
+    error is raised, so a malformed header comes first, then a wrong line
+    count, then the first bad line, then set-level violations.
+    """
     try:
-        n, C, D, d_in, N = (int(v) for v in header[1:])
-    except ValueError:
-        raise FormatError("malformed header (non-integer field)", line=1) from None
-    if min(n, C, D, d_in, N) < 1:
-        raise FormatError("malformed header (all counts must be >= 1)", line=1)
-
-    expected_lines = 1 + n * (1 + N)
-    if len(raw) != expected_lines:
-        raise FormatError(
-            f"expected {expected_lines} lines for {n} records, found {len(raw)}",
-            line=min(len(raw), expected_lines),
-        )
-
-    # Per-line string checks; the value fields of each line are kept as text.
-    ids, labels, flags, fields = [], [], [], []
-    try:
-        for lineno, line in enumerate(raw[1:], start=2):
-            j = (lineno - 2) % (N + 1)  # 0 on a record's feature line, else the version
-            if j == 0:
-                if line.count(",") != 2 + D:
-                    raise FormatError(f"dimension mismatch: {line.count(',') - 2} feature "
-                                      f"values, expected {D}", line=lineno)
-                rid, label, flag, rest = line.split(",", 3)
-                try:
-                    ids.append(int(rid))
-                    labels.append(int(label))
-                except ValueError:
-                    raise FormatError("non-integer id or label", line=lineno) from None
-                if flag not in _FLAG_VALUE:
-                    raise FormatError(f"bad outlier flag {flag!r} (expected 0, 1 or -)", line=lineno)
-                flags.append(_FLAG_VALUE[flag])
-            else:
-                if line.count(",") != d_in:
-                    raise FormatError(f"dimension mismatch: {line.count(',')} input values, "
-                                      f"expected {d_in}", line=lineno)
-                version, rest = line.split(",", 1)
-                if version != str(j):
-                    raise FormatError(f"degraded version index {version!r}, expected {j}", line=lineno)
-            fields.append(rest)
-    except FormatError as exc:
-        _exact_values(raw[1 : exc.line - 1], N)  # a bad value on an earlier line comes first
+        with open(path, encoding="ascii") as f:  # universal newlines, as Path.read_text
+            return _parse(_Lines(f), os.fstat(f.fileno()))
+    except UnicodeDecodeError:
+        # The error gives the byte's offset in the chunk the decoder read;
+        # decoding the whole file gives its offset in the file.
+        Path(path).read_text(encoding="ascii")
         raise
 
-    # One bulk parse. Over plain decimal literals (the only characters below)
-    # numpy's parser and float() accept the same fields and round alike; any
-    # other text, a short parse or a non-finite value takes the exact path,
-    # which also names the offending line.
-    body = ",".join(fields)
-    del fields  # body holds the same text; keep one copy while it is parsed
-    values = None
-    if not body.translate(_DECIMAL_CHARS):
+
+def _parse(lines: _Lines, st: os.stat_result) -> StudentSet:
+    header = next(lines, "").split()
+    try:
+        if len(header) != 6 or header[0] != "SKD1":
+            raise FormatError("malformed header (expected 'SKD1 n C D d_in N')", line=1)
         try:
-            values = np.fromstring(body, sep=",")
+            n, C, D, d_in, N = (int(v) for v in header[1:])
         except ValueError:
-            pass
-    if values is None or values.size != n * (D + N * d_in) or not np.isfinite(values).all():
-        values = np.array(_exact_values(raw[1:], N))
-    values = values.reshape(n, D + N * d_in)
+            raise FormatError("malformed header (non-integer field)", line=1) from None
+        if min(n, C, D, d_in, N) < 1:
+            raise FormatError("malformed header (all counts must be >= 1)", line=1)
+    except FormatError:
+        lines.drain()
+        if lines.count == 0:  # trailing blank lines are tolerated
+            raise FormatError("empty file", line=1) from None
+        raise
+
+    # A well-formed file has a comma per value, so a header that declares
+    # more values than a regular file has bytes fails the line count or a
+    # dimension check; no arrays are allocated for it.
+    width = D + N * d_in
+    if n * width <= st.st_size or not stat.S_ISREG(st.st_mode):
+        features, inputs = np.empty((n, D)), np.empty((n, N, d_in))
+    else:
+        features = inputs = None
+    ids: list[int] = []
+    labels: list[int] = []
+    flags: list[int] = []
+    error = None
+    try:
+        for lo in range(0, n, _GROUP_RECORDS):
+            hi = min(n, lo + _GROUP_RECORDS)
+            first = lines.lineno + 1
+            group: list[str] = []
+            fields: list[str] = []  # the value fields of each line, as text
+            try:
+                for line in itertools.islice(lines, (hi - lo) * (N + 1)):
+                    group.append(line)
+                    lineno = lines.lineno
+                    j = (lineno - 2) % (N + 1)  # 0 on a record's feature line, else the version
+                    if j == 0:
+                        if line.count(",") != 2 + D:
+                            raise FormatError(f"dimension mismatch: {line.count(',') - 2} feature "
+                                              f"values, expected {D}", line=lineno)
+                        rid, label, flag, rest = line.split(",", 3)
+                        try:
+                            ids.append(int(rid))
+                            labels.append(int(label))
+                        except ValueError:
+                            raise FormatError("non-integer id or label", line=lineno) from None
+                        if flag not in _FLAG_VALUE:
+                            raise FormatError(f"bad outlier flag {flag!r} (expected 0, 1 or -)",
+                                              line=lineno)
+                        flags.append(_FLAG_VALUE[flag])
+                    else:
+                        if line.count(",") != d_in:
+                            raise FormatError(f"dimension mismatch: {line.count(',')} input "
+                                              f"values, expected {d_in}", line=lineno)
+                        version, rest = line.split(",", 1)
+                        if version != str(j):
+                            raise FormatError(f"degraded version index {version!r}, expected {j}",
+                                              line=lineno)
+                    fields.append(rest)
+            except FormatError:
+                _exact_values(group[:-1], N, first)  # a bad value on an earlier line comes first
+                raise
+            if len(group) < (hi - lo) * (N + 1):
+                break  # the file ended early: the line count check below fails
+
+            # One bulk parse per group. Over plain decimal literals (the only
+            # characters below) numpy's parser and float() accept the same
+            # fields and round alike; any other text, a short parse or a
+            # non-finite value takes the exact path, which also names the
+            # offending line.
+            body = ",".join(fields)
+            del fields  # body holds the same text; keep one copy while it is parsed
+            values = None
+            if not body.translate(_DECIMAL_CHARS):
+                try:
+                    values = np.fromstring(body, sep=",")
+                except ValueError:
+                    pass
+            if values is None or values.size != (hi - lo) * width or not np.isfinite(values).all():
+                values = np.array(_exact_values(group, N, first))
+            if features is not None:
+                values = values.reshape(hi - lo, width)
+                features[lo:hi] = values[:, :D]
+                inputs[lo:hi] = values[:, D:].reshape(hi - lo, N, d_in)
+    except FormatError as exc:
+        error = exc
+    lines.drain()
+
+    expected_lines = 1 + n * (1 + N)
+    if lines.count != expected_lines:
+        raise FormatError(
+            f"expected {expected_lines} lines for {n} records, found {lines.count}",
+            line=min(lines.count, expected_lines),
+        )
+    if error is not None:
+        raise error
 
     try:
-        sset = StudentSet(labels, values[:, :D], values[:, D:].reshape(n, N, d_in), C, flags)
+        sset = StudentSet(labels, features, inputs, C, flags)
         sset.validate(ids=np.array(ids))
     except (ValueError, OverflowError) as exc:
         # Set-level violations (missing class, non-dense ids, a label past

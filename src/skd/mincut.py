@@ -101,16 +101,19 @@ def _class_edges(
     """``(ids, a, b, w)`` per nonempty class, for classes 1..C in order.
 
     ``ids`` are the class's global face ids (ascending); ``a``, ``b`` are the
-    class's edge endpoints as local indices into ``ids``, and ``w`` their
-    weights, in the graph's edge order. Labels must lie in 1..C: they are
-    narrowed to the smallest key type, which numpy radix-sorts.
+    class's edge endpoints as local indices into ``ids``, of the smallest
+    unsigned type that holds ``len(ids)``, and ``w`` their weights, in the
+    graph's edge order. Labels must lie in 1..C: they are narrowed to the
+    smallest key type, which numpy radix-sorts.
     """
     labels = graph.labels.astype(np.min_scalar_type(graph.n_classes + 1))
     bounds = np.arange(1, graph.n_classes + 2, dtype=labels.dtype)
     face_order = np.argsort(labels, kind="stable")
     face_start = np.searchsorted(labels[face_order], bounds)
-    rank = np.empty(graph.n_faces, dtype=np.int64)
-    rank[face_order] = np.arange(graph.n_faces)
+    # each face's index within its class
+    local = np.empty(graph.n_faces, dtype=np.min_scalar_type(graph.n_faces))
+    local[face_order] = np.arange(graph.n_faces) - np.repeat(face_start[:-1],
+                                                             np.diff(face_start))
     edge_class = labels[graph.edge_i]
     if np.all(edge_class[:-1] <= edge_class[1:]):  # grouped, as build_selection_graph emits
         edge_order = None
@@ -126,8 +129,9 @@ def _class_edges(
         sel = slice(edge_start[c], edge_start[c + 1])
         if edge_order is not None:
             sel = edge_order[sel]
-        classes.append((face_order[lo:hi], rank[graph.edge_i[sel]] - lo,
-                        rank[graph.edge_j[sel]] - lo, graph.edge_w[sel]))
+        dtype = np.min_scalar_type(hi - lo)
+        classes.append((face_order[lo:hi], local[graph.edge_i[sel]].astype(dtype, copy=False),
+                        local[graph.edge_j[sel]].astype(dtype, copy=False), graph.edge_w[sel]))
     return classes
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skd.dataset import (
+    _GROUP_RECORDS,
     FormatError,
     StudentSet,
     SynthConfig,
@@ -429,3 +430,105 @@ class TestFormatErrors:
             load_student_set(p)
         assert str(exc.value) == f"line {line}: {message}"
         assert exc.value.line == line
+
+
+class TestParseGroups:
+    """A file of 600 records spans three bulk-parse groups (256, 256 and 88 records)."""
+
+    N = 2  # record r's feature line is 2 + 3r; its input j is the line after that plus j
+
+    @pytest.fixture
+    def multi(self, tmp_path):
+        s = synthesize(SynthConfig(C=3, per_class_count=200, D=4, d_in=2, N=self.N,
+                                   noise_scale=0.2, outlier_fraction=0.1, seed=11))
+        assert len(s) > 2 * _GROUP_RECORDS
+        p = tmp_path / "multi.skd"
+        save_student_set(s, p)
+        return s, p, p.read_text().split("\n")[:-1]
+
+    def line_of(self, record, j=0):
+        return 2 + record * (self.N + 1) + j
+
+    def load_error(self, path, lines, newline="\n"):
+        path.write_bytes((newline.join(lines) + newline).encode("ascii"))
+        with pytest.raises(FormatError) as exc:
+            load_student_set(path)
+        return exc.value.line, str(exc.value)
+
+    def test_arrays_equal_a_roundtrip(self, multi, tmp_path):
+        s, p, _ = multi
+        loaded = load_student_set(p)
+        assert sets_equal(s, loaded)
+        save_student_set(loaded, tmp_path / "again.skd")
+        assert (tmp_path / "again.skd").read_bytes() == p.read_bytes()
+
+    @pytest.mark.parametrize("value,message", [
+        ("abc", "unparseable float field (could not convert string to float: 'abc')"),
+        ("1e999", "non-finite value"),
+    ])
+    def test_bad_value_in_last_group(self, multi, value, message):
+        _, p, lines = multi
+        line = self.line_of(590, 2)
+        _field(line, 1, value)(lines)
+        assert self.load_error(p, lines) == (line, f"line {line}: {message}")
+
+    def test_value_before_structural_error_in_one_group(self, multi):
+        _, p, lines = multi
+        bad_value, bad_flag = self.line_of(300, 1), self.line_of(310)
+        _field(bad_value, 2, "zz")(lines)
+        _field(bad_flag, 2, "?")(lines)
+        assert self.load_error(p, lines) == (
+            bad_value,
+            f"line {bad_value}: unparseable float field "
+            f"(could not convert string to float: 'zz')")
+
+    def test_value_in_first_group_before_structural_error_in_last(self, multi):
+        _, p, lines = multi
+        _field(self.line_of(3), 4, "nan")(lines)
+        _drop_last_field(self.line_of(599, 1))(lines)
+        assert self.load_error(p, lines) == (self.line_of(3),
+                                             f"line {self.line_of(3)}: non-finite value")
+
+    @pytest.mark.parametrize("edit,found", [(_delete(1801), 1800),
+                                            (_insert(1802, "2,0.5,0.5"), 1802),
+                                            (_insert(900, ""), 1802),
+                                            (_insert(1802, " "), 1802)])
+    def test_line_count_wins_over_line_errors(self, multi, edit, found):
+        _, p, lines = multi
+        assert len(lines) == 1801
+        _field(self.line_of(1), 1, "x")(lines)
+        _field(self.line_of(400), 2, "?")(lines)
+        edit(lines)
+        assert self.load_error(p, lines) == (
+            min(found, 1801), f"line {min(found, 1801)}: expected 1801 lines for 600 "
+                              f"records, found {found}")
+
+    def test_header_beyond_the_file_size_reports_the_line_count(self, multi):
+        _, p, lines = multi
+        lines[0] = "SKD1 1000000000000 3 4 2 2"
+        assert self.load_error(p, lines) == (
+            1801, "line 1801: expected 3000000000001 lines for 1000000000000 records, "
+                  "found 1801")
+
+    def test_crlf_and_trailing_blank_lines_load_the_same_arrays(self, multi, tmp_path):
+        s, _, lines = multi
+        for name, text in [("crlf", "\r\n".join(lines) + "\r\n"),
+                           ("cr", "\r".join(lines) + "\r"),
+                           ("blank", "\n".join(lines) + "\n\n\n"),
+                           ("crlf-blank", "\r\n".join(lines) + "\r\n\r\n\n"),
+                           ("no-final-newline", "\n".join(lines))]:
+            p = tmp_path / f"{name}.skd"
+            p.write_bytes(text.encode("ascii"))
+            assert sets_equal(s, load_student_set(p)), name
+
+    def test_non_ascii_byte_past_the_first_chunk(self, multi):
+        _, p, _ = multi
+        data = bytearray(p.read_bytes())
+        data[50_000] = 0xE9
+        p.write_bytes(bytes(data))
+        with pytest.raises(UnicodeDecodeError) as exc:
+            load_student_set(p)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            bytes(data).decode("ascii")
+        assert str(exc.value) == str(whole.value)
+        assert "position 50000" in str(exc.value)

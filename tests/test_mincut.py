@@ -223,6 +223,26 @@ class TestClassEdges:
         for parts, expected in zip(got, want):
             for part, e in zip(parts, expected):
                 assert np.array_equal(part, e)
+            ids, a, b, _ = parts
+            assert a.dtype == b.dtype == np.min_scalar_type(len(ids))
+
+    @pytest.mark.parametrize("sizes,dtypes", [((3, 300, 2), (np.uint8, np.uint16, np.uint8)),
+                                              ((256, 255), (np.uint16, np.uint8))])
+    def test_local_endpoints_fit_the_narrowed_dtype(self, sizes, dtypes):
+        s = synthesize(SynthConfig(C=1, per_class_count=sum(sizes), D=4, d_in=2, N=1,
+                                   noise_scale=0.3, seed=2))
+        s.labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+        s.C = len(sizes)
+        g = shuffled(build_selection_graph(s, class_centroids(s)), np.random.default_rng(3))
+        classes = _class_edges(g)
+        assert [len(ids) for ids, *_ in classes] == list(sizes)
+        for (ids, a, b, _), dtype in zip(classes, dtypes):
+            assert a.dtype == b.dtype == dtype
+            assert len(a) == len(ids) * (len(ids) - 1) // 2
+            assert a.max() == len(ids) - 2 and b.max() == len(ids) - 1
+            in_class = np.isin(g.edge_i, ids)
+            assert np.array_equal(ids[a], g.edge_i[in_class])
+            assert np.array_equal(ids[b], g.edge_j[in_class])
 
     def test_relabelled_graph_gets_the_same_selection(self):
         rng = np.random.default_rng(5)

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from skd.dataset import StudentSet, SynthConfig, synthesize
-from skd.metric import class_centroids
+from skd.metric import class_centroids, measure_matrix
 from skd.selgraph import (
     SelectionGraph,
     SelectionMask,
@@ -80,6 +82,27 @@ class TestBuild:
             assert g.node_count == sum(sizes) + C
             assert g.intra_edge_count == sum(k * (k - 1) // 2 for k in sizes)
             assert g.folded_connection_count == sum(k * (C - 1) for k in sizes)
+
+    def test_edges_match_a_per_class_scan(self):
+        s = synthesize(SynthConfig(C=4, per_class_count=9, D=6, d_in=2, N=1,
+                                   noise_scale=0.5, seed=5))
+        # classes of 12, 1, 6 and 17 faces, interleaved
+        s.labels = np.random.default_rng(0).permutation(np.repeat([1, 2, 3, 4], [12, 1, 6, 17]))
+        for mode in ("cossim", "cosdist"):
+            g = build_selection_graph(s, class_centroids(s), measure=mode)
+            ei, ej, ew = [], [], []
+            for c in range(1, s.C + 1):
+                idx = np.flatnonzero(s.labels == c)
+                a, b = np.triu_indices(len(idx), k=1)
+                gram = measure_matrix(s.features[idx], s.features[idx], mode)
+                ei.append(idx[a])
+                ej.append(idx[b])
+                ew.append(gram[a, b])
+            assert (g.edge_i.dtype, g.edge_j.dtype, g.edge_w.dtype) == (np.int64, np.int64,
+                                                                        np.float64)
+            assert np.array_equal(g.edge_i, np.concatenate(ei))
+            assert np.array_equal(g.edge_j, np.concatenate(ej))
+            assert g.edge_w.tobytes() == np.concatenate(ew).tobytes()
 
     def test_weights_nonnegative_both_measures(self):
         s = synthesize(SynthConfig(C=4, per_class_count=6, D=6, d_in=2, N=1,
@@ -161,6 +184,22 @@ class TestEnergy:
                 by_class += energy(g, SelectionMask(restricted), lam)
             assert total == pytest.approx(by_class, abs=1e-9)
 
+    @pytest.mark.parametrize("shape", [(2, 150), (3, 7)])
+    def test_pairwise_reward_is_the_float64_product_dot(self, shape):
+        # (2, 150) has 22,350 edges: a dot product long enough to be split
+        # across BLAS threads, which must still see identical operands.
+        C, per_class = shape
+        s = synthesize(SynthConfig(C=C, per_class_count=per_class, D=8, d_in=2, N=1,
+                                   noise_scale=0.3, seed=9))
+        g = build_selection_graph(s, class_centroids(s))
+        rng = np.random.default_rng(1)
+        masks = [SelectionMask.zeros(g.n_faces), SelectionMask.ones(g.n_faces)] + [
+            SelectionMask(rng.integers(0, 2, g.n_faces)) for _ in range(5)]
+        for mask in masks:
+            a = mask.alpha.astype(np.float64)
+            assert pairwise_reward(g, mask) == float((a[g.edge_i] * a[g.edge_j]) @ g.edge_w)
+        assert pairwise_reward(g, masks[0]) == 0.0
+
     def test_energy_nondecreasing_in_lambda(self):
         rng = np.random.default_rng(8)
         g = random_graph(rng)
@@ -175,7 +214,23 @@ class TestEnergy:
 def test_dump_graph_format(tmp_path, three_face_graph):
     p = tmp_path / "g.txt"
     dump_graph(three_face_graph, p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "SKDGRAPH1 3 2 1"
-    assert lines[1].startswith("0,1,")
-    assert len(lines) == 1 + 3 + 1
+    # Unary costs are written as the repr of numpy scalars, edge weights as floats.
+    assert p.read_bytes() == (
+        b"SKDGRAPH1 3 2 1\n"
+        b"0,1,np.float64(0.0)\n"
+        b"1,1,np.float64(0.6)\n"
+        b"2,2,np.float64(0.316227766016838)\n"
+        b"0,1,0.8\n"
+    )
+
+
+def test_dump_graph_bytes_of_a_larger_graph(tmp_path):
+    # 3 x 120 faces: 21,420 edge rows, written in several pieces.
+    s = synthesize(SynthConfig(C=3, per_class_count=120, D=16, d_in=4, N=1,
+                               noise_scale=0.2, seed=4))
+    g = build_selection_graph(s, class_centroids(s))
+    p = tmp_path / "g.txt"
+    dump_graph(g, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "30f96e9218fa13e1ac233d9e88ea7d50a395b1958e8ec1f4d88ce9fd55b8b665"
+    )
