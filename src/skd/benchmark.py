@@ -23,7 +23,6 @@ from .student import StudentArch, StudentModel, init_student
 __all__ = [
     "Benchmark",
     "make_benchmark",
-    "default_arch_for",
     "select_informative",
     "pretrain_variant",
     "train_variant",
@@ -88,16 +87,6 @@ def make_benchmark(seed: int) -> Benchmark:
     return Benchmark(train_set=train_set, eval_pairs=pairs)
 
 
-def default_arch_for(sset: StudentSet, identity_dim: int = 128) -> StudentArch:
-    return StudentArch(
-        input_dim=sset.d_in,
-        mimic_dim=sset.D,
-        class_count=sset.C,
-        trunk=(64, 64),
-        identity_dim=identity_dim,
-    )
-
-
 def select_informative(sset: StudentSet, lam: float = SELECT_LAMBDA) -> SelectionMask:
     graph = build_selection_graph(sset, class_centroids(sset))
     mask, _ = minimize(graph, lam)
@@ -106,12 +95,15 @@ def select_informative(sset: StudentSet, lam: float = SELECT_LAMBDA) -> Selectio
 
 def pretrain_variant(bench: Benchmark, seed: int) -> StudentModel:
     """Classification pretraining shared by every supervision variant."""
-    model = init_student(default_arch_for(bench.train_set), seed)
+    sset = bench.train_set
+    model = init_student(
+        StudentArch(input_dim=sset.d_in, mimic_dim=sset.D, class_count=sset.C), seed
+    )
     pre_cfg = TrainConfig(
         supervision="c", learning_rate=LEARNING_RATE, batch_size=BATCH_SIZE,
         epochs=PRETRAIN_EPOCHS, seed=seed,
     )
-    return finetune(model, bench.train_set, None, pre_cfg)
+    return finetune(model, sset, None, pre_cfg)
 
 
 def train_variant(
@@ -188,7 +180,10 @@ def _transfer_sets(seed: int) -> tuple[StudentSet, StudentSet, StudentSet]:
 def transfer_comparison(seed: int) -> tuple[float, float]:
     """Top-1 error on held-out classes: (transferred, from scratch)."""
     source_set, target_train, target_eval = _transfer_sets(seed)
-    source = init_student(default_arch_for(source_set), seed)
+    source = init_student(
+        StudentArch(input_dim=source_set.d_in, mimic_dim=source_set.D, class_count=source_set.C),
+        seed,
+    )
     source = finetune(
         source, source_set, None,
         TrainConfig(supervision="c", learning_rate=LEARNING_RATE,
@@ -208,7 +203,12 @@ def transfer_comparison(seed: int) -> tuple[float, float]:
     transferred = transfer_student(source, new_class_count=target_train.C, seed=seed + 3)
     transferred = finetune(transferred, target_train, None, target_cfg)
 
-    scratch = init_student(default_arch_for(target_train), seed + 4)
+    scratch = init_student(
+        StudentArch(
+            input_dim=target_train.d_in, mimic_dim=target_train.D, class_count=target_train.C
+        ),
+        seed + 4,
+    )
     scratch = finetune(scratch, target_train, None, target_cfg)
 
     t_err, _ = evaluate_identification(transferred, target_eval)

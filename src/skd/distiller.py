@@ -20,7 +20,8 @@ is deterministic given (config, seed, data).
 from __future__ import annotations
 
 import json
-import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -80,7 +81,41 @@ class TrainConfig:
             raise ValueError("normalize_targets needs a regression term; supervision 'c' has none")
 
 
-def _check_model_set(model: StudentModel, sset: StudentSet, need_classes: bool = True) -> None:
+def _full_set(
+    model: StudentModel,
+    sset: StudentSet,
+    mask: SelectionMask | None,
+    supervision: str,
+    normalize_targets: bool = False,
+    need_classes: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool, bool]:
+    """Every (record, version) sample as a row, for one supervision signal.
+
+    Returns ``(X, y, F, alpha_rows, use_cls, use_reg)``: inputs, labels 1..C,
+    teacher targets, each row's regression weight, and which terms the signal
+    trains. Each record's N rows are contiguous, in record order. The signal,
+    the mask and the model are checked against the set first; with
+    ``need_classes`` off, a model with fewer classes than the set passes when
+    the signal has no classification term.
+    """
+    if supervision not in SUPERVISION_MODES:
+        raise ValueError(
+            f"unknown supervision {supervision!r}; expected one of {SUPERVISION_MODES}"
+        )
+    use_cls = supervision != "s"
+    use_reg = supervision != "c"
+    n_records = len(sset)
+    if supervision == "c":
+        alpha = np.zeros(n_records)
+    elif supervision == "dc":
+        alpha = np.ones(n_records)
+    elif mask is None:
+        raise ValueError(f"supervision {supervision!r} requires a selection mask")
+    elif len(mask) != n_records:
+        raise ValueError(f"mask length {len(mask)} != {n_records} records")
+    else:
+        alpha = mask.alpha.astype(np.float64)
+
     if model.arch.input_dim != sset.d_in:
         raise ValueError(
             f"model input dim {model.arch.input_dim} != set input dim {sset.d_in}"
@@ -89,47 +124,18 @@ def _check_model_set(model: StudentModel, sset: StudentSet, need_classes: bool =
         raise ValueError(
             f"model mimic dim {model.arch.mimic_dim} != teacher feature dim {sset.D}"
         )
-    if need_classes and model.arch.class_count < sset.C:
+    if (need_classes or use_cls) and model.arch.class_count < sset.C:
         raise ValueError(
             f"model has {model.arch.class_count} classes, set labels reach {sset.C}"
         )
 
-
-def _stack(
-    sset: StudentSet, normalize_targets: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All (record, version) samples as rows: inputs, labels 1..C, targets.
-
-    Each record's N rows are contiguous, in record order.
-    """
     X = sset.inputs.reshape(-1, sset.d_in)
     y = np.repeat(sset.labels, sset.N)
     F = np.repeat(sset.features, sset.N, axis=0)
     if normalize_targets:
         norms = np.linalg.norm(F, axis=1, keepdims=True)
         F = F / np.maximum(norms, 1e-300)
-    return X, y, F
-
-
-def _supervision_terms(
-    mask: SelectionMask | None, supervision: str, n_records: int
-) -> tuple[np.ndarray, bool, bool]:
-    """Per-record regression weights and which terms the signal trains."""
-    if supervision not in SUPERVISION_MODES:
-        raise ValueError(
-            f"unknown supervision {supervision!r}; expected one of {SUPERVISION_MODES}"
-        )
-    use_cls = supervision != "s"
-    use_reg = supervision != "c"
-    if supervision == "c":
-        return np.zeros(n_records), use_cls, use_reg
-    if supervision == "dc":
-        return np.ones(n_records), use_cls, use_reg
-    if mask is None:
-        raise ValueError(f"supervision {supervision!r} requires a selection mask")
-    if len(mask) != n_records:
-        raise ValueError(f"mask length {len(mask)} != {n_records} records")
-    return mask.alpha.astype(np.float64), use_cls, use_reg
+    return X, y, F, np.repeat(alpha, sset.N), use_cls, use_reg
 
 
 def _objective(
@@ -223,11 +229,10 @@ def total_loss(
     version; "s" is the squared mimic-to-teacher error summed over the
     selected records only.
     """
-    alpha, use_cls, use_reg = _supervision_terms(mask, supervision, len(sset))
-    _check_model_set(model, sset, need_classes=use_cls)
-    X, y, F = _stack(sset, normalize_targets)
+    X, y, F, alpha_rows, use_cls, use_reg = _full_set(
+        model, sset, mask, supervision, normalize_targets, need_classes=False
+    )
     acts = forward_trace(model, X)
-    alpha_rows = np.repeat(alpha, sset.N)
     cls, reg = _objective(model, acts, y, F, alpha_rows, reg_scale, use_cls, use_reg)[:2]
     return cls + reg
 
@@ -248,96 +253,62 @@ def _diverged(epoch: int) -> TrainingDiverged:
     )
 
 
-class _EpochLog:
-    """Full-set log passes on one worker thread, settled in epoch order.
+def _log_pass(
+    model: StudentModel,
+    X: np.ndarray,
+    y: np.ndarray,
+    F: np.ndarray,
+    alpha_rows: np.ndarray,
+    reg_scale: float,
+) -> tuple[float, float]:
+    """Full-set ``(cls, reg)`` at ``model``'s parameters, for the epoch log.
 
-    ``submit`` hands the worker a parameter snapshot and returns at once, so
-    the caller trains the next epoch meanwhile; at most one pass is in flight.
-    ``settle`` waits for the pending pass, checks that its total is finite and
-    writes its metrics line, so the file and any error are those of running
-    the pass in line. The worker calls no public skd function: a tracer that
-    wraps them (``forward_trace`` among them) keeps one span stack, and would
-    nest the worker's spans under whatever the training thread is doing.
+    It runs on the log worker thread, so it calls no public skd function: a
+    tracer that wraps them (``forward_trace`` among them) keeps one span stack,
+    and would nest the worker's spans under whatever the training thread is
+    doing.
     """
-
-    def __init__(self, X, y, F, alpha_rows, reg_scale, use_cls, use_reg, handle):
-        self._use = (use_cls, use_reg)
-        self._handle = handle
-        self._pending: int | None = None  # epoch of the pass in flight
-        self._job: StudentModel | None = None
-        self._out: tuple[float, float] | BaseException | None = None
-        self._ready = threading.Semaphore(0)
-        self._done = threading.Semaphore(0)
-        self._thread = threading.Thread(
-            target=self._work, args=(X, y, F, alpha_rows, reg_scale), name="skd-epoch-log"
-        )
-        self._thread.start()
-
-    def _work(self, X, y, F, alpha_rows, reg_scale) -> None:
-        # errstate is per thread; overflow surfaces as a non-finite total
-        with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                self._ready.acquire()
-                model = self._job
-                if model is None:
-                    return
-                try:
-                    acts = _forward_layers(model, X)
-                    self._out = _objective(model, acts, y, F, alpha_rows, reg_scale)[:2]
-                except BaseException as exc:  # re-raised on the training thread
-                    self._out = exc
-                self._done.release()
-
-    def submit(self, epoch: int, model: StudentModel) -> None:
-        self.settle()
-        self._job = model.copy()
-        self._pending = epoch
-        self._ready.release()
-
-    def settle(self) -> None:
-        if self._pending is None:
-            return
-        epoch, self._pending = self._pending, None
-        self._done.acquire()
-        if isinstance(self._out, BaseException):
-            raise self._out
-        cls, reg = self._out
-        use_cls, use_reg = self._use
-        total = cls * use_cls + reg * use_reg
-        if not np.isfinite(total):
-            raise _diverged(epoch)
-        if self._handle is not None:
-            self._handle.write(
-                json.dumps({"epoch": epoch, "cls": cls, "reg": reg, "total": total}) + "\n"
-            )
-
-    def close(self) -> None:
-        """Stop the worker; a pass in flight finishes first and is dropped."""
-        self._job = None
-        self._ready.release()
-        self._thread.join()
+    # errstate is per thread; overflow surfaces as a non-finite total
+    with np.errstate(over="ignore", invalid="ignore"):
+        acts = _forward_layers(model, X)
+        return _objective(model, acts, y, F, alpha_rows, reg_scale)[:2]
 
 
 def _train(
     model: StudentModel,
     sset: StudentSet,
-    alpha: np.ndarray,
+    mask: SelectionMask | None,
     config: TrainConfig,
-    use_cls: bool,
-    use_reg: bool,
     metrics_path: str | Path | None,
 ) -> StudentModel:
-    _check_model_set(model, sset)
+    X, y, F, alpha_rows, use_cls, use_reg = _full_set(
+        model, sset, mask, config.supervision, config.normalize_targets
+    )
     model = model.copy()
-    X, y, F = _stack(sset, config.normalize_targets)
-    alpha_rows = np.repeat(alpha, sset.N)
     rng = np.random.default_rng(config.seed)
     n = len(sset)
     versions = np.arange(sset.N)
-
     handle = open(metrics_path, "w", encoding="ascii") if metrics_path is not None else None
-    log = _EpochLog(X, y, F, alpha_rows, config.reg_scale, use_cls, use_reg, handle)
-    try:
+    pending = None  # (epoch, future) of the log pass in flight
+
+    def settle() -> None:
+        """Wait for the pending log pass, check its total and write its line."""
+        nonlocal pending
+        if pending is None:
+            return
+        (epoch, future), pending = pending, None
+        cls, reg = future.result()
+        total = cls * use_cls + reg * use_reg
+        if not np.isfinite(total):
+            raise _diverged(epoch)
+        if handle is not None:
+            handle.write(
+                json.dumps({"epoch": epoch, "cls": cls, "reg": reg, "total": total}) + "\n"
+            )
+
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="skd-epoch-log")
+    # On every exit, leaving the block waits for a pass in flight, then closes the file.
+    with handle or nullcontext(), pool:
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n)
             for start in range(0, n, config.batch_size):
@@ -356,19 +327,17 @@ def _train(
                         config.reg_scale,
                     )
                 if not np.isfinite(cls + reg):
-                    log.settle()  # an earlier epoch's log may have diverged first
+                    settle()  # an earlier epoch's log may have diverged first
                     raise _diverged(epoch)
                 _sgd_step(model, grads, config.learning_rate)
             if handle is None and epoch < config.epochs:
                 continue  # no metrics file: only the last epoch's log runs, to check divergence
             # Epoch log: full-set component values at this epoch's parameters,
-            # computed while the next epoch trains.
-            log.submit(epoch, model)
-        log.settle()
-    finally:
-        log.close()
-        if handle is not None:
-            handle.close()
+            # computed on a snapshot while the next epoch trains.
+            settle()
+            snapshot = model.copy()
+            pending = epoch, pool.submit(_log_pass, snapshot, X, y, F, alpha_rows, config.reg_scale)
+        settle()
     return model
 
 
@@ -385,8 +354,7 @@ def finetune(
     joint fine-tune. ``mask`` is required for "s" and "sc", ignored for "c"
     and "dc".
     """
-    alpha, use_cls, use_reg = _supervision_terms(mask, config.supervision, len(sset))
-    return _train(model, sset, alpha, config, use_cls, use_reg, metrics_path)
+    return _train(model, sset, mask, config, metrics_path)
 
 
 def transfer_student(
@@ -432,12 +400,9 @@ def gradient_check(
     central differences do not estimate the derivative. Relative error falls
     back to the absolute difference when both gradients are ~0.
     """
-    alpha, use_cls, use_reg = _supervision_terms(mask, supervision, len(sset))
     if model.parameter_count() > 10_000:
         raise ValueError("gradient_check is for small models (<= 10^4 parameters)")
-    _check_model_set(model, sset)
-    X, y, F = _stack(sset)
-    alpha_rows = np.repeat(alpha, sset.N)
+    X, y, F, alpha_rows, use_cls, use_reg = _full_set(model, sset, mask, supervision)
 
     def loss_and_pattern(m: StudentModel) -> tuple[float, tuple]:
         acts = forward_trace(m, X)

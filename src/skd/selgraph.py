@@ -201,8 +201,8 @@ def dump_graph(graph: SelectionGraph, path: str | Path) -> None:
     """
     with open(path, "w", encoding="ascii") as f:
         f.write(f"SKDGRAPH1 {graph.n_faces} {graph.n_classes} {graph.intra_edge_count}\n")
-        for i in range(graph.n_faces):
-            f.write(f"{i},{int(graph.labels[i])},{graph.unary[i]!r}\n")
+        for i, (label, u) in enumerate(zip(graph.labels.tolist(), graph.unary.tolist())):
+            f.write(f"{i},{label},{u!r}\n")
         for lo in range(0, graph.intra_edge_count, _DUMP_EDGES):
             rows = slice(lo, lo + _DUMP_EDGES)
             f.write("".join(f"{i},{j},{w!r}\n" for i, j, w in zip(

@@ -227,16 +227,12 @@ def forward(model: StudentModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         raise ValueError(f"input has shape {x.shape}, expected ({model.arch.input_dim},)")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
-    a = x
-    mimic = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        acts = _forward_layers(model, x[None])
     for idx, layer in enumerate(model.layers):
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = apply_activation(layer.activation, layer.W @ a + layer.b)
-        if not np.all(np.isfinite(a)):
+        if not np.all(np.isfinite(acts[idx + 1])):
             raise FloatingPointError(f"non-finite activations at layer {idx} ({layer.name})")
-        if idx == model.mimic_index:
-            mimic = a
-    return mimic, a
+    return acts[model.mimic_index + 1][0], acts[-1][0]
 
 
 def tap_output(model: StudentModel, X: np.ndarray, tap: str) -> np.ndarray:

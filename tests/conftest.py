@@ -1,11 +1,11 @@
-"""Load numpy before skd, so the suite runs at the BLAS library's default thread count.
+"""Import skd before numpy, so the suite runs at one BLAS thread, as the CLI does.
 
-Importing skd first would default BLAS to one thread (see ``skd/__init__.py``),
-and which test module is collected first would then decide the thread count.
-``TestStressGolden`` pins energies whose dot products run over more than
-10,000 edges, which OpenBLAS splits across its threads, and its digest was
-taken with OpenBLAS's default of one thread per core on two cores. Set
-``OPENBLAS_NUM_THREADS`` explicitly to run the suite with another count.
+Importing skd defaults the BLAS libraries to one thread before numpy loads
+(see ``skd/__init__.py``); importing it here, before any test module, makes
+that hold whichever module is collected first. ``TestStressGolden`` pins
+energies whose dot products run over more than 10,000 edges, which OpenBLAS
+splits across its threads, so its digest is a one-thread value. A thread
+count set explicitly in the environment still wins.
 """
 
-import numpy  # noqa: F401
+import skd  # noqa: F401

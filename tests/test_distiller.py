@@ -326,12 +326,14 @@ class TestEpochLogOverlap:
         model = init_student(arch_for(sset), seed=17)
         cfg = TrainConfig(supervision="dc", learning_rate=lr, batch_size=4, epochs=30, seed=6)
         metrics = tmp_path / "m.jsonl"
+        threads = threading.active_count()
         with pytest.raises(TrainingDiverged) as info:
             finetune(model, sset, None, cfg, metrics_path=metrics)
         assert str(info.value) == (
             f"non-finite loss at epoch {epoch} (learning rate too high for this data?)"
         )
         assert hashlib.sha256(metrics.read_bytes()).hexdigest() == digest
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("metrics_file", [True, False])
     def test_worker_error_keeps_its_type(self, tmp_path, monkeypatch, metrics_file):

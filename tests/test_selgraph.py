@@ -214,12 +214,12 @@ class TestEnergy:
 def test_dump_graph_format(tmp_path, three_face_graph):
     p = tmp_path / "g.txt"
     dump_graph(three_face_graph, p)
-    # Unary costs are written as the repr of numpy scalars, edge weights as floats.
+    # Unary costs and edge weights are both written as the repr of Python floats.
     assert p.read_bytes() == (
         b"SKDGRAPH1 3 2 1\n"
-        b"0,1,np.float64(0.0)\n"
-        b"1,1,np.float64(0.6)\n"
-        b"2,2,np.float64(0.316227766016838)\n"
+        b"0,1,0.0\n"
+        b"1,1,0.6\n"
+        b"2,2,0.316227766016838\n"
         b"0,1,0.8\n"
     )
 
@@ -232,5 +232,5 @@ def test_dump_graph_bytes_of_a_larger_graph(tmp_path):
     p = tmp_path / "g.txt"
     dump_graph(g, p)
     assert hashlib.sha256(p.read_bytes()).hexdigest() == (
-        "30f96e9218fa13e1ac233d9e88ea7d50a395b1958e8ec1f4d88ce9fd55b8b665"
+        "7257df626f845fabfbb6f2ea2242ce61f6b622dc0ee09b2212ab4b943d7b6643"
     )
