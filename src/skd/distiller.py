@@ -147,26 +147,34 @@ def _objective(
     reg_scale: float,
     use_cls: bool = True,
     use_reg: bool = True,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, float, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """(cls, reg, e, s, wdiff) of one forward trace.
 
     ``e`` holds the exponentials of the max-shifted logits and ``s`` their row
     sums, so the softmax is ``e / s``; ``wdiff`` is the alpha-weighted mimic
     residual. The gradient reuses them. A term that is switched off is 0.0
-    and its temporaries are None.
+    and, without ``work``, its temporaries are None.
+
+    ``work``, when given, is an ``(e, s, wdiff)`` triple of arrays that those
+    temporaries are written into, and the logits and mimic arrays of ``acts``
+    are overwritten with the shifted logits and the residual. The log pass
+    passes its own buffers; the values are the same either way.
     """
     cls = reg = 0.0
-    e = s = wdiff = None
+    e, s, wdiff = (None, None, None) if work is None else work
     if use_cls:
         logits = acts[-1]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        s = e.sum(axis=1, keepdims=True)
+        shifted = np.subtract(logits, logits.max(axis=1, keepdims=True, out=s),
+                              out=None if work is None else logits)
+        e = np.exp(shifted, out=e)
+        s = e.sum(axis=1, keepdims=True, out=s)
         rows = np.arange(len(y))
         cls = float(-(shifted[rows, y - 1] - np.log(s)[:, 0]).sum())
     if use_reg:
-        diff = acts[model.mimic_index + 1] - F
-        wdiff = diff * alpha_rows[:, None]
+        mimic = acts[model.mimic_index + 1]
+        diff = np.subtract(mimic, F, out=None if work is None else mimic)
+        wdiff = np.multiply(diff, alpha_rows[:, None], out=wdiff)
         reg = float(reg_scale * np.einsum("ij,ij->", wdiff, diff))
     return cls, reg, e, s, wdiff
 
@@ -253,6 +261,28 @@ def _diverged(epoch: int) -> TrainingDiverged:
     )
 
 
+def _log_buffers(
+    model: StudentModel, rows: int
+) -> tuple[list[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Work arrays of the log pass over ``rows`` rows: ``(out, work)``.
+
+    ``out`` takes each layer's output for ``_forward_layers``: the head writes
+    the logits buffer, and the other layers alternate between two buffers of
+    rows x the widest of them, so each writes the one that does not hold its
+    input. The mimic output and the logits are still whole when the forward
+    ends. ``work`` is ``_objective``'s ``(e, s, wdiff)``; ``wdiff`` lies in the
+    identity layer's buffer, which is dead by then.
+    """
+    hidden = [layer.W.shape[0] for layer in model.layers[:-1]]
+    pair = [np.empty(rows * max(hidden)) for _ in range(2)]
+    logits = np.empty((rows, model.arch.class_count))
+    out = [pair[k % 2][: rows * width].reshape(rows, width) for k, width in enumerate(hidden)]
+    out.append(logits)
+    D = model.arch.mimic_dim
+    wdiff = pair[model.identity_index % 2][: rows * D].reshape(rows, D)
+    return out, (np.empty_like(logits), np.empty((rows, 1)), wdiff)
+
+
 def _log_pass(
     model: StudentModel,
     X: np.ndarray,
@@ -260,18 +290,23 @@ def _log_pass(
     F: np.ndarray,
     alpha_rows: np.ndarray,
     reg_scale: float,
+    use_cls: bool,
+    use_reg: bool,
+    buffers: tuple[list[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> tuple[float, float]:
     """Full-set ``(cls, reg)`` at ``model``'s parameters, for the epoch log.
 
-    It runs on the log worker thread, so it calls no public skd function: a
-    tracer that wraps them (``forward_trace`` among them) keeps one span stack,
-    and would nest the worker's spans under whatever the training thread is
-    doing.
+    ``buffers`` comes from ``_log_buffers`` and is overwritten. A term that
+    is switched off is 0.0. It runs on the log worker thread, so it calls no
+    public skd function: a tracer that wraps them (``forward_trace`` among
+    them) keeps one span stack, and would nest the worker's spans under
+    whatever the training thread is doing.
     """
+    out, work = buffers
     # errstate is per thread; overflow surfaces as a non-finite total
     with np.errstate(over="ignore", invalid="ignore"):
-        acts = _forward_layers(model, X)
-        return _objective(model, acts, y, F, alpha_rows, reg_scale)[:2]
+        acts = _forward_layers(model, X, out)
+        return _objective(model, acts, y, F, alpha_rows, reg_scale, use_cls, use_reg, work)[:2]
 
 
 def _train(
@@ -289,6 +324,12 @@ def _train(
     n = len(sset)
     versions = np.arange(sset.N)
     handle = open(metrics_path, "w", encoding="ascii") if metrics_path is not None else None
+    # The log pass reads a snapshot of the parameters and writes fixed buffers;
+    # both are reused every epoch, as no pass is in flight when they are refreshed.
+    snapshot = model.copy()
+    buffers = _log_buffers(model, len(X))
+    # A metrics line holds both terms; the final check needs the trained ones only.
+    terms = (True, True) if handle is not None else (use_cls, use_reg)
     pending = None  # (epoch, future) of the log pass in flight
 
     def settle() -> None:
@@ -298,7 +339,8 @@ def _train(
             return
         (epoch, future), pending = pending, None
         cls, reg = future.result()
-        total = cls * use_cls + reg * use_reg
+        # an untrained term is logged but not summed, so its inf is no divergence
+        total = (cls if use_cls else 0.0) + (reg if use_reg else 0.0)
         if not np.isfinite(total):
             raise _diverged(epoch)
         if handle is not None:
@@ -333,10 +375,14 @@ def _train(
             if handle is None and epoch < config.epochs:
                 continue  # no metrics file: only the last epoch's log runs, to check divergence
             # Epoch log: full-set component values at this epoch's parameters,
-            # computed on a snapshot while the next epoch trains.
+            # computed on the snapshot while the next epoch trains.
             settle()
-            snapshot = model.copy()
-            pending = epoch, pool.submit(_log_pass, snapshot, X, y, F, alpha_rows, config.reg_scale)
+            for kept, layer in zip(snapshot.layers, model.layers):
+                np.copyto(kept.W, layer.W)
+                np.copyto(kept.b, layer.b)
+            pending = epoch, pool.submit(
+                _log_pass, snapshot, X, y, F, alpha_rows, config.reg_scale, *terms, buffers
+            )
         settle()
     return model
 

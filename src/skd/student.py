@@ -195,16 +195,21 @@ def forward_trace(model: StudentModel, X: np.ndarray) -> list[np.ndarray]:
     return _forward_layers(model, X)
 
 
-def _forward_layers(model: StudentModel, X: np.ndarray) -> list[np.ndarray]:
+def _forward_layers(
+    model: StudentModel, X: np.ndarray, out: list[np.ndarray] | None = None
+) -> list[np.ndarray]:
     """The loop of :func:`forward_trace`.
 
     The training log pass calls it from a worker thread, so that nothing
     wrapped around ``forward_trace`` (a profiler's span) runs off the caller's
-    thread.
+    thread. It also passes ``out``, one C-contiguous array per layer that the
+    layer's output is written into. Entries may alias: an activation then
+    holds only until a later layer writes over it, and a layer's entry must
+    not share memory with its input.
     """
     acts = [np.asarray(X, dtype=np.float64)]
-    for layer in model.layers:
-        z = acts[-1] @ layer.W.T
+    for k, layer in enumerate(model.layers):
+        z = np.matmul(acts[-1], layer.W.T, out=None if out is None else out[k])
         z += layer.b
         acts.append(apply_activation(layer.activation, z))
     return acts

@@ -3,7 +3,9 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from skd.distiller import (
     transfer_student,
 )
 from skd.selgraph import SelectionMask
-from skd.student import StudentArch, forward_batch, init_student, tap_output
+from skd.student import StudentArch, forward_batch, forward_trace, init_student, tap_output
 
 
 def tiny_set(C=3, per_class=4, D=4, d_in=3, N=2, seed=0):
@@ -213,9 +215,9 @@ class TestTraining:
         full_passes = []
         inner = distiller._forward_layers
 
-        def counting(m, X):
+        def counting(m, X, out=None):
             full_passes.append(len(X) == len(sset) * sset.N)
-            return inner(m, X)
+            return inner(m, X, out)
 
         monkeypatch.setattr(distiller, "_forward_layers", counting)
         quiet = finetune(model, sset, mask, cfg)
@@ -313,6 +315,51 @@ class TestEpochLogOverlap:
         assert len(metrics.read_text().splitlines()) == 3
         assert threading.active_count() == threads
 
+    def test_untrained_term_cannot_diverge_a_run(self, tmp_path, monkeypatch):
+        sset = tiny_set(seed=19)
+        model = init_student(arch_for(sset), seed=19)
+        self.poison_log_pass(monkeypatch, sset, at_pass=1, result=(1.5, math.inf))
+        cfg = TrainConfig(supervision="c", learning_rate=1e-3, batch_size=4, epochs=3, seed=1)
+        metrics = tmp_path / "m.jsonl"
+        finetune(model, sset, None, cfg, metrics_path=metrics)
+        lines = [json.loads(l) for l in metrics.read_text().splitlines()]
+        assert [line["epoch"] for line in lines] == [1, 2, 3]
+        assert lines[0]["reg"] == math.inf
+        assert all(line["total"] == line["cls"] for line in lines)
+
+    @pytest.mark.parametrize("exit_path", ["return", "batch divergence",
+                                           "log divergence", "worker error"])
+    def test_executor_is_shut_down(self, tmp_path, monkeypatch, exit_path):
+        shutdowns = []
+
+        class Recording(ThreadPoolExecutor):
+            def shutdown(self, wait=True, **kwargs):
+                shutdowns.append(wait)
+                super().shutdown(wait, **kwargs)
+
+        monkeypatch.setattr(distiller, "ThreadPoolExecutor", Recording)
+        sset = tiny_set(seed=17)
+        model = init_student(arch_for(sset), seed=17)
+        cfg = TrainConfig(supervision="dc", learning_rate=1e-3, batch_size=4, epochs=6, seed=6)
+        expected = None
+        if exit_path == "batch divergence":
+            cfg.learning_rate = 1e9
+            expected = TrainingDiverged
+        elif exit_path == "log divergence":
+            self.poison_log_pass(monkeypatch, sset, at_pass=2, result=(math.inf, 0.0))
+            expected = TrainingDiverged
+        elif exit_path == "worker error":
+            self.poison_log_pass(monkeypatch, sset, at_pass=2, exc=KeyError("log pass"))
+            expected = KeyError
+        threads = threading.active_count()
+        if expected is None:
+            finetune(model, sset, None, cfg, metrics_path=tmp_path / "m.jsonl")
+        else:
+            with pytest.raises(expected):
+                finetune(model, sset, None, cfg, metrics_path=tmp_path / "m.jsonl")
+        assert shutdowns == [True]
+        assert threading.active_count() == threads
+
     # (learning rate, message epoch, SHA-256 of the metrics file), pinned from
     # the loop that ran each log pass in line. At 0.2 a batch of epoch 4
     # diverges while the pass of epoch 3 is pending; at 10 the pass of epoch 2
@@ -389,6 +436,47 @@ class TestEpochLogOverlap:
         finetune(model, sset, None, cfg, metrics_path=tmp_path / "m.jsonl")
         finetune(model, sset, None, cfg)
         assert threading.active_count() == threads
+
+
+class TestLogPassMemory:
+    """The log pass works in buffers that ``_train`` allocates once per call."""
+
+    def case(self):
+        # the full set (3,200 rows) dwarfs a batch (16 rows), and the hidden
+        # layers are much wider than the teacher feature and the classes
+        sset = tiny_set(C=4, per_class=100, D=4, d_in=3, N=8, seed=28)
+        model = init_student(arch_for(sset, trunk=(48, 48), identity_dim=48), seed=28)
+        mask = SelectionMask(np.arange(len(sset)) % 3 != 0)
+        return sset, model, mask
+
+    def test_logged_finetune_peaks_at_the_buffers(self, tmp_path):
+        sset, model, mask = self.case()
+        cfg = TrainConfig(supervision="sc", learning_rate=1e-3, batch_size=2, epochs=3, seed=12)
+        out, work = distiller._log_buffers(model, len(sset) * sset.N)
+        owners = {id(a): a for a in (b if b.base is None else b.base for b in (*out, *work))}
+        buffer_bytes = sum(a.nbytes for a in owners.values())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            finetune(model, sset, mask, cfg, metrics_path=tmp_path / "m.jsonl")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # margin: the full set's label, target and weight columns, two model
+        # copies, one batch step and the objective's per-row temporaries. This
+        # case peaks at about 1.15x the buffers, and at about 1.77x when each
+        # pass allocates its activations and residuals afresh.
+        assert peak < 1.25 * buffer_bytes
+
+    def test_log_pass_matches_an_unbuffered_objective(self):
+        sset, model, mask = self.case()
+        X, y, F, alpha_rows, _, _ = distiller._full_set(model, sset, mask, "sc")
+        buffers = distiller._log_buffers(model, len(X))
+        for terms in [(True, True), (True, False), (False, True)]:
+            expected = distiller._objective(model, forward_trace(model, X), y, F, alpha_rows,
+                                            0.7, *terms)[:2]
+            assert distiller._log_pass(model, X, y, F, alpha_rows, 0.7, *terms,
+                                       buffers) == expected
 
 
 class TestNormalizeTargets:
