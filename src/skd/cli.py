@@ -47,7 +47,7 @@ from .mincut import (
     save_mask,
     write_sweep_csv,
 )
-from .selgraph import build_selection_graph, dump_graph
+from .selgraph import SelectionGraph, build_selection_graph, dump_graph
 from .student import StudentArch, init_student, load_checkpoint, save_checkpoint, forward_batch
 
 EXIT_OK = 0
@@ -120,6 +120,15 @@ def _arch_from_args(sset, args) -> StudentArch:
     )
 
 
+def _selection_graph(args) -> SelectionGraph:
+    """The selection graph of ``args.set`` under ``args.measure``.
+
+    The set is freed on return, so a solve holds only the graph's arrays.
+    """
+    sset = load_student_set(_require_file(args.set))
+    return build_selection_graph(sset, class_centroids(sset), measure=args.measure)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -142,8 +151,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    sset = load_student_set(_require_file(args.set))
-    graph = build_selection_graph(sset, class_centroids(sset), measure=args.measure)
+    graph = _selection_graph(args)
     dump_graph(graph, args.out)
     _write_echo("graph", args, args.out)
     print(
@@ -155,8 +163,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_select(args) -> int:
-    sset = load_student_set(_require_file(args.set))
-    graph = build_selection_graph(sset, class_centroids(sset), measure=args.measure)
+    graph = _selection_graph(args)
     mask, e = minimize(graph, args.lam)
     save_mask(args.out, mask, args.lam)
     _write_echo("select", args, args.out)
@@ -168,8 +175,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    sset = load_student_set(_require_file(args.set))
-    graph = build_selection_graph(sset, class_centroids(sset), measure=args.measure)
+    graph = _selection_graph(args)
     grid = _parse_grid(args.grid) if args.grid else default_lambda_grid()
     result = lambda_sweep(graph, grid)
     write_sweep_csv(result, args.out)

@@ -48,21 +48,26 @@ class Dinic:
         m = len(capacity)
         if m and (min(tail.min(), head.min()) < 0 or max(tail.max(), head.max()) >= n):
             raise ValueError(f"arc endpoints must be node ids in 0..{n - 1}")
-        # ids interleaved: src[id] is the tail of arc id, src[id ^ 1] its head
+        # ids interleaved: src[id] is the tail of arc id, src[id ^ 1] its head.
+        # Each temporary is freed once used, and position, which only this
+        # constructor reads, is of the smallest type that holds it.
         src = np.empty(2 * m, dtype=np.min_scalar_type(n))
         src[0::2] = tail
         src[1::2] = head
         order = np.argsort(src, kind="stable")  # radix sort on 8/16-bit keys
-        partner = order ^ 1
-        position = np.empty(2 * m, dtype=np.int64)
-        position[order] = np.arange(2 * m)
-        residual = np.zeros(2 * m, dtype=np.float64)
-        residual[0::2] = capacity
         self.start = np.searchsorted(src[order], np.arange(n + 1))
         self.degree = np.diff(self.start)
-        self.to = src[partner].astype(np.int64)  # intp indexes without a conversion
-        self.rev = position[partner]
-        self.cap = residual[order]
+        position = np.empty(2 * m, dtype=np.min_scalar_type(2 * m))
+        position[order] = np.arange(2 * m, dtype=position.dtype)
+        self.cap = np.zeros(2 * m, dtype=np.float64)
+        self.cap[position[0::2]] = capacity  # reverse arcs start empty
+        order ^= 1  # now the id of each position's paired arc
+        rev = position[order]
+        del position
+        self.rev = rev.astype(np.int64)  # intp indexes without a conversion
+        del rev
+        self.to = order  # each arc's head (its pair's tail), over the id buffer
+        self.to[:] = src[order]
 
     def _bfs(self, s: int, t: int) -> np.ndarray | None:
         """CSR positions of the phase's admissible arcs; None once t is unreachable.

@@ -48,7 +48,13 @@ def pairwise_measure(a, b, mode: str = "cossim") -> float:
 
 
 def measure_matrix(A: np.ndarray, B: np.ndarray, mode: str = "cossim") -> np.ndarray:
-    """Measure between every row of A and every row of B. Shape (nA, nB)."""
+    """Measure between every row of A and every row of B. Shape (nA, nB).
+
+    The inputs are never written; the result is clipped and clamped in place.
+    The two normalized operands are separate arrays even when A is B: numpy
+    computes ``X @ X.T`` on one buffer as a symmetric product, whose last bits
+    differ from the general product's.
+    """
     _check_mode(mode)
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -59,8 +65,8 @@ def measure_matrix(A: np.ndarray, B: np.ndarray, mode: str = "cossim") -> np.nda
     cos = (A / na[:, None]) @ (B / nb[:, None]).T
     np.clip(cos, -1.0, 1.0, out=cos)
     if mode == "cossim":
-        return np.maximum(cos, 0.0)
-    return 1.0 - cos
+        return np.maximum(cos, 0.0, out=cos)
+    return np.subtract(1.0, cos, out=cos)
 
 
 def class_centroids(sset: StudentSet) -> np.ndarray:

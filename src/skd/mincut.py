@@ -144,23 +144,34 @@ def solve_class_cut(
     ``w``. Returns the canonical minimal optimal labeling as an int8 vector.
     """
     n = len(unaries)
-    u_mod = np.array(unaries, dtype=np.float64)
-    np.add.at(u_mod, b, lam * w)  # unbuffered: same accumulation order as a loop
+    net = Dinic(n + 2, *_class_arcs(unaries, a, b, w, lam))
+    net.max_flow(n, n + 1)
+    return net.side_reaching_sink(n + 1)[:n].astype(np.int8)
 
-    # arcs in a fixed order: unary arcs by face, then pairwise arcs by edge
+
+def _class_arcs(
+    unaries: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(tail, head, capacity)`` of one class's cut network, source n and sink n + 1.
+
+    Arcs come in a fixed order: unary arcs by face, then pairwise arcs by
+    edge. Endpoints are of the smallest unsigned type that holds n + 1, and
+    the temporaries are freed on return, before the network is built.
+    """
+    n = len(unaries)
+    u_mod = np.array(unaries, dtype=np.float64)
+    c = lam * w
+    np.add.at(u_mod, b, c)  # unbuffered: same accumulation order as a loop
+    np.negative(c, out=c)  # -lam * w exactly: negation only flips the sign
     s, t = n, n + 1
-    unary = np.flatnonzero(u_mod != 0.0)
+    unary = np.flatnonzero(u_mod != 0.0).astype(np.min_scalar_type(t))
     to_sink = u_mod[unary] < 0.0
-    c = -lam * w
     pair = c > 0.0
-    net = Dinic(
-        n + 2,
+    return (
         np.concatenate([np.where(to_sink, unary, s), a[pair]]),
         np.concatenate([np.where(to_sink, t, unary), b[pair]]),
         np.concatenate([np.abs(u_mod[unary]), c[pair]]),
     )
-    net.max_flow(s, t)
-    return net.side_reaching_sink(t)[:n].astype(np.int8)
 
 
 def minimize(graph: SelectionGraph, lam: float) -> tuple[SelectionMask, float]:
@@ -171,11 +182,22 @@ def minimize(graph: SelectionGraph, lam: float) -> tuple[SelectionMask, float]:
     """
     _check_lambda(lam)
     graph.validate()
+    mask = SelectionMask(_cut_classes(graph, lam))
+    return mask, energy(graph, mask, lam)
+
+
+def _cut_classes(graph: SelectionGraph, lam: float) -> np.ndarray:
+    """The labeling of :func:`minimize`, as an int8 vector over all faces.
+
+    Every per-class array, the last class's included, is freed on return,
+    before the energy allocates its edge-long indicator. A class array left
+    alive can split the free heap block that the indicator would reuse, and
+    the heap then grows instead.
+    """
     alpha = np.zeros(graph.n_faces, dtype=np.int8)
     for ids, a, b, w in _class_edges(graph):
         alpha[ids] = solve_class_cut(graph.unary[ids], a, b, w, lam)
-    mask = SelectionMask(alpha)
-    return mask, energy(graph, mask, lam)
+    return alpha
 
 
 def _brute_force_class(

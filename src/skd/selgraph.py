@@ -64,7 +64,11 @@ class SelectionMask:
 
 @dataclass
 class SelectionGraph:
-    """Immutable selection graph; share freely across solver invocations."""
+    """Selection graph; the solvers only read it, so one graph serves many solves.
+
+    It is a plain dataclass that callers may change after it is built, so
+    ``minimize`` validates it again on every solve.
+    """
 
     n_faces: int
     n_classes: int
@@ -129,7 +133,8 @@ def build_selection_graph(
     unary = face_cent.sum(axis=1) - own
 
     # Each edge array is allocated once at its final length and filled in
-    # place, so no per-class pieces are held beside it.
+    # place, row by row of each class's upper triangle, so no per-class index
+    # or weight arrays are held beside it.
     members = [np.flatnonzero(labels == c) for c in range(1, sset.C + 1)]
     m = sum(len(idx) * (len(idx) - 1) // 2 for idx in members)
     edge_i = np.empty(m, dtype=np.int64)
@@ -139,12 +144,15 @@ def build_selection_graph(
     for idx in members:
         if len(idx) < 2:
             continue
-        gram = measure_matrix(F[idx], F[idx], measure)
-        a, b = np.triu_indices(len(idx), k=1)
-        start, end = end, end + len(a)
-        np.take(idx, a, out=edge_i[start:end])
-        np.take(idx, b, out=edge_j[start:end])
-        edge_w[start:end] = gram[a, b]
+        faces = F[idx]
+        gram = measure_matrix(faces, faces, measure)
+        for r in range(len(idx) - 1):
+            row = slice(end, end + len(idx) - 1 - r)
+            edge_i[row] = idx[r]
+            edge_j[row] = idx[r + 1:]
+            edge_w[row] = gram[r, r + 1:]
+            end = row.stop
+        del faces, gram  # freed before the next class's are made
 
     graph = SelectionGraph(
         n_faces=n,
@@ -185,9 +193,13 @@ def pairwise_reward(graph: SelectionGraph, mask: SelectionMask) -> float:
     """
     if len(mask) != graph.n_faces:
         raise ValueError(f"mask length {len(mask)} != {graph.n_faces} faces")
+    # The float64 indicator, the largest block here, is allocated before the
+    # int8 gathers, so that they do not split a heap hole it could reuse.
+    indicator = np.empty(len(graph.edge_w))
     both = mask.alpha[graph.edge_i]  # int8 gathers: an eighth of the float64 ones
     both &= mask.alpha[graph.edge_j]
-    return float(both.astype(np.float64) @ graph.edge_w)
+    np.copyto(indicator, both)
+    return float(indicator @ graph.edge_w)
 
 
 _DUMP_EDGES = 8192  # edge rows formatted per write

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,32 @@ class TestSelect:
         code = main(["select", "--set", str(toy_set), "--lambda", "2",
                      "--out", str(tmp_path / "m.mask")])
         assert code == 5
+
+
+class TestSelectMemory:
+    """A one-shot select holds the graph's edge arrays plus one class's cut."""
+
+    def test_select_peaks_near_the_edge_arrays(self, tmp_path):
+        # the benchmark's set shape (128-d features, 4 versions of 8-d inputs)
+        # at 4 x 200 faces: 79,600 edges
+        path = tmp_path / "s.skd"
+        assert main(synth_args(path, classes=4, per_class=200, teacher_dim=128, input_dim=8,
+                               versions=4, noise=0.005, outlier_fraction=0.1, seed=3)) == 0
+        edge_bytes = 4 * (200 * 199 // 2) * (8 + 8 + 8)  # int64 i and j, float64 w
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(["select", "--set", str(path), "--lambda", "-0.05",
+                         "--out", str(tmp_path / "m.mask")]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # This select peaks at about 2.1x the edge arrays, in the graph build
+        # (the set, the edges and one class's Gram matrix). Holding the set
+        # through the solve gives about 2.5x, as do the build's triangle-index
+        # arrays; the flow network's int64 temporaries give 2.7x, and all
+        # three 3.2x.
+        assert peak < 2.4 * edge_bytes
 
 
 class TestSweep:

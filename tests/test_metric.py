@@ -131,3 +131,24 @@ def test_empty_class_errors():
     s.C = 2  # declare a second class nobody has
     with pytest.raises(ValueError, match="empty"):
         class_centroids(s)
+
+
+def out_of_place_measure(A, B, mode):
+    cos = (A / np.linalg.norm(A, axis=1)[:, None]) @ (B / np.linalg.norm(B, axis=1)[:, None]).T
+    cos = np.clip(cos, -1.0, 1.0)
+    return np.maximum(cos, 0.0) if mode == "cossim" else 1.0 - cos
+
+
+@pytest.mark.parametrize("mode", ["cossim", "cosdist"])
+@pytest.mark.parametrize("rows, dim", [(30, 8), (300, 128)])
+def test_measure_matrix_writes_only_its_result(mode, rows, dim):
+    # At these shapes numpy's symmetric X @ X.T on one buffer differs from the
+    # general product in the last bits, so a shared normalized operand fails.
+    rng = np.random.default_rng(rows)
+    A = rng.normal(size=(rows, dim))
+    B = rng.normal(size=(rows // 3, dim))
+    before = A.tobytes(), B.tobytes()
+    A.flags.writeable = B.flags.writeable = False
+    assert measure_matrix(A, B, mode).tobytes() == out_of_place_measure(A, B, mode).tobytes()
+    assert measure_matrix(A, A, mode).tobytes() == out_of_place_measure(A, A, mode).tobytes()
+    assert (A.tobytes(), B.tobytes()) == before
