@@ -6,9 +6,9 @@ min-cut, then train a compact student under joint classification plus masked
 feature regression.
 
 Importing skd defaults the BLAS libraries to one thread, before numpy loads:
-at this package's matrix sizes a second BLAS thread costs time, and training
-runs its metrics pass on a second Python thread instead. A BLAS thread count
-already set in the environment is kept.
+at this package's matrix sizes a second BLAS thread costs time (a desk
+fine-tune took a median 1.08 times as long at two threads as at one; see
+README). A BLAS thread count already set in the environment is kept.
 """
 
 import os

@@ -20,7 +20,6 @@ is deterministic given (config, seed, data).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -29,13 +28,7 @@ import numpy as np
 
 from .dataset import StudentSet
 from .selgraph import SelectionMask
-from .student import (
-    StudentModel,
-    _forward_layers,
-    activation_derivative,
-    forward_trace,
-    init_layers,
-)
+from .student import StudentModel, activation_derivative, forward_trace, init_layers
 
 __all__ = [
     "SUPERVISION_MODES",
@@ -266,7 +259,7 @@ def _log_buffers(
 ) -> tuple[list[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Work arrays of the log pass over ``rows`` rows: ``(out, work)``.
 
-    ``out`` takes each layer's output for ``_forward_layers``: the head writes
+    ``out`` takes each layer's output for ``forward_trace``: the head writes
     the logits buffer, and the other layers alternate between two buffers of
     rows x the widest of them, so each writes the one that does not hold its
     input. The mimic output and the logits are still whole when the forward
@@ -297,15 +290,12 @@ def _log_pass(
     """Full-set ``(cls, reg)`` at ``model``'s parameters, for the epoch log.
 
     ``buffers`` comes from ``_log_buffers`` and is overwritten. A term that
-    is switched off is 0.0. It runs on the log worker thread, so it calls no
-    public skd function: a tracer that wraps them (``forward_trace`` among
-    them) keeps one span stack, and would nest the worker's spans under
-    whatever the training thread is doing.
+    is switched off is 0.0.
     """
     out, work = buffers
-    # errstate is per thread; overflow surfaces as a non-finite total
+    # overflow surfaces as a non-finite total
     with np.errstate(over="ignore", invalid="ignore"):
-        acts = _forward_layers(model, X, out)
+        acts = forward_trace(model, X, out)
         return _objective(model, acts, y, F, alpha_rows, reg_scale, use_cls, use_reg, work)[:2]
 
 
@@ -323,34 +313,11 @@ def _train(
     rng = np.random.default_rng(config.seed)
     n = len(sset)
     versions = np.arange(sset.N)
-    handle = open(metrics_path, "w", encoding="ascii") if metrics_path is not None else None
-    # The log pass reads a snapshot of the parameters and writes fixed buffers;
-    # both are reused every epoch, as no pass is in flight when they are refreshed.
-    snapshot = model.copy()
     buffers = _log_buffers(model, len(X))
+    handle = open(metrics_path, "w", encoding="ascii") if metrics_path is not None else None
     # A metrics line holds both terms; the final check needs the trained ones only.
     terms = (True, True) if handle is not None else (use_cls, use_reg)
-    pending = None  # (epoch, future) of the log pass in flight
-
-    def settle() -> None:
-        """Wait for the pending log pass, check its total and write its line."""
-        nonlocal pending
-        if pending is None:
-            return
-        (epoch, future), pending = pending, None
-        cls, reg = future.result()
-        # an untrained term is logged but not summed, so its inf is no divergence
-        total = (cls if use_cls else 0.0) + (reg if use_reg else 0.0)
-        if not np.isfinite(total):
-            raise _diverged(epoch)
-        if handle is not None:
-            handle.write(
-                json.dumps({"epoch": epoch, "cls": cls, "reg": reg, "total": total}) + "\n"
-            )
-
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="skd-epoch-log")
-    # On every exit, leaving the block waits for a pass in flight, then closes the file.
-    with handle or nullcontext(), pool:
+    with handle or nullcontext():
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n)
             for start in range(0, n, config.batch_size):
@@ -369,21 +336,20 @@ def _train(
                         config.reg_scale,
                     )
                 if not np.isfinite(cls + reg):
-                    settle()  # an earlier epoch's log may have diverged first
                     raise _diverged(epoch)
                 _sgd_step(model, grads, config.learning_rate)
             if handle is None and epoch < config.epochs:
                 continue  # no metrics file: only the last epoch's log runs, to check divergence
-            # Epoch log: full-set component values at this epoch's parameters,
-            # computed on the snapshot while the next epoch trains.
-            settle()
-            for kept, layer in zip(snapshot.layers, model.layers):
-                np.copyto(kept.W, layer.W)
-                np.copyto(kept.b, layer.b)
-            pending = epoch, pool.submit(
-                _log_pass, snapshot, X, y, F, alpha_rows, config.reg_scale, *terms, buffers
-            )
-        settle()
+            # Epoch log: full-set component values at this epoch's parameters.
+            cls, reg = _log_pass(model, X, y, F, alpha_rows, config.reg_scale, *terms, buffers)
+            # an untrained term is logged but not summed, so its inf is no divergence
+            total = (cls if use_cls else 0.0) + (reg if use_reg else 0.0)
+            if not np.isfinite(total):
+                raise _diverged(epoch)
+            if handle is not None:
+                handle.write(
+                    json.dumps({"epoch": epoch, "cls": cls, "reg": reg, "total": total}) + "\n"
+                )
     return model
 
 

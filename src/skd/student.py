@@ -187,25 +187,18 @@ def init_student(
     return model
 
 
-def forward_trace(model: StudentModel, X: np.ndarray) -> list[np.ndarray]:
+def forward_trace(
+    model: StudentModel, X: np.ndarray, out: list[np.ndarray] | None = None
+) -> list[np.ndarray]:
     """Run a batch through every layer, keeping each layer's output.
 
     Returns acts with acts[0] = X and acts[k+1] = output of layer k.
-    """
-    return _forward_layers(model, X)
 
-
-def _forward_layers(
-    model: StudentModel, X: np.ndarray, out: list[np.ndarray] | None = None
-) -> list[np.ndarray]:
-    """The loop of :func:`forward_trace`.
-
-    The training log pass calls it from a worker thread, so that nothing
-    wrapped around ``forward_trace`` (a profiler's span) runs off the caller's
-    thread. It also passes ``out``, one C-contiguous array per layer that the
-    layer's output is written into. Entries may alias: an activation then
-    holds only until a later layer writes over it, and a layer's entry must
-    not share memory with its input.
+    ``out``, when given, holds one C-contiguous array per layer that the
+    layer's output is written into; the training log pass passes its reused
+    buffers. Entries may alias: an activation then holds only until a later
+    layer writes over it, and a layer's entry must not share memory with its
+    input.
     """
     acts = [np.asarray(X, dtype=np.float64)]
     for k, layer in enumerate(model.layers):
@@ -233,7 +226,7 @@ def forward(model: StudentModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
     with np.errstate(over="ignore", invalid="ignore"):
-        acts = _forward_layers(model, x[None])
+        acts = forward_trace(model, x[None])
     for idx, layer in enumerate(model.layers):
         if not np.all(np.isfinite(acts[idx + 1])):
             raise FloatingPointError(f"non-finite activations at layer {idx} ({layer.name})")

@@ -53,3 +53,29 @@ def test_check_mask_flags_a_non_optimal_mask(tmp_path, monkeypatch):
     mask.write_text("SKDMASK1 18 0.0\n" + "".join(f"{i},1\n" for i in range(18)),
                     encoding="ascii")
     assert len(checks.check_mask(sset, mask)) == 2  # energy > 0, and single flips help
+
+
+def test_tracer_sees_every_epoch_log_pass(tmp_path, monkeypatch):
+    # the log pass runs in line and calls forward_trace through distiller's
+    # global, so its spans nest under _train
+    tracing = load_bench_module("tracing", monkeypatch)
+    sset, ckpt = tmp_path / "set.skd", tmp_path / "pre.ckpt"
+    assert main(["synth", "--classes", "3", "--per-class", "6", "--teacher-dim", "8",
+                 "--input-dim", "3", "--versions", "2", "--seed", "5",
+                 "--out", str(sset)]) == 0
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(tracing.TARGETS)
+        tracer.active = True
+        assert main(["pretrain", "--set", str(sset), "--epochs", "3", "--batch-size", "4",
+                     "--hidden", "6", "--identity-dim", "5", "--seed", "5",
+                     "--out", str(ckpt)]) == 0
+        tracer.active = False
+        spans = tracer.take()
+    finally:
+        tracer.uninstall()
+    assert len((tmp_path / "pre.ckpt.metrics.jsonl").read_text().splitlines()) == 3
+    metrics = tracing.derive(tracing.ITERATION_METRICS, [spans], tracer.missing)
+    assert metrics["distiller.log_passes"] == 3
+    assert metrics["distiller.log_rows_ratio"] == 1.0
+    assert metrics["distiller.log_forward_s"] > 0

@@ -1,15 +1,18 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skd
 from skd import distiller
 from skd.dataset import StudentSet, SynthConfig, synthesize
 from skd.distiller import (
@@ -213,13 +216,13 @@ class TestTraining:
         logged = finetune(model, sset, mask, cfg, metrics_path=tmp_path / "m.jsonl")
 
         full_passes = []
-        inner = distiller._forward_layers
+        inner = distiller.forward_trace
 
         def counting(m, X, out=None):
             full_passes.append(len(X) == len(sset) * sset.N)
             return inner(m, X, out)
 
-        monkeypatch.setattr(distiller, "_forward_layers", counting)
+        monkeypatch.setattr(distiller, "forward_trace", counting)
         quiet = finetune(model, sset, mask, cfg)
         assert quiet.parameter_bytes() == logged.parameter_bytes()
         assert sum(full_passes) == 1  # only the final epoch's log pass
@@ -276,10 +279,11 @@ class TestTraining:
 
 
 class TestEpochLogOverlap:
-    """The full-set log pass of epoch e runs on a worker thread during epoch e+1.
+    """The full-set log pass of epoch e runs in line, before epoch e+1 trains.
 
-    The metrics file, the error raised and its epoch must be those of running
-    each pass in line, and no thread or warning may outlive the call.
+    It checks the trained terms for divergence and writes its metrics line
+    before the next epoch's first step, so a non-finite pass names its own
+    epoch and stops the run there. No thread or warning outlives the call.
     """
 
     @staticmethod
@@ -327,43 +331,10 @@ class TestEpochLogOverlap:
         assert lines[0]["reg"] == math.inf
         assert all(line["total"] == line["cls"] for line in lines)
 
-    @pytest.mark.parametrize("exit_path", ["return", "batch divergence",
-                                           "log divergence", "worker error"])
-    def test_executor_is_shut_down(self, tmp_path, monkeypatch, exit_path):
-        shutdowns = []
-
-        class Recording(ThreadPoolExecutor):
-            def shutdown(self, wait=True, **kwargs):
-                shutdowns.append(wait)
-                super().shutdown(wait, **kwargs)
-
-        monkeypatch.setattr(distiller, "ThreadPoolExecutor", Recording)
-        sset = tiny_set(seed=17)
-        model = init_student(arch_for(sset), seed=17)
-        cfg = TrainConfig(supervision="dc", learning_rate=1e-3, batch_size=4, epochs=6, seed=6)
-        expected = None
-        if exit_path == "batch divergence":
-            cfg.learning_rate = 1e9
-            expected = TrainingDiverged
-        elif exit_path == "log divergence":
-            self.poison_log_pass(monkeypatch, sset, at_pass=2, result=(math.inf, 0.0))
-            expected = TrainingDiverged
-        elif exit_path == "worker error":
-            self.poison_log_pass(monkeypatch, sset, at_pass=2, exc=KeyError("log pass"))
-            expected = KeyError
-        threads = threading.active_count()
-        if expected is None:
-            finetune(model, sset, None, cfg, metrics_path=tmp_path / "m.jsonl")
-        else:
-            with pytest.raises(expected):
-                finetune(model, sset, None, cfg, metrics_path=tmp_path / "m.jsonl")
-        assert shutdowns == [True]
-        assert threading.active_count() == threads
-
     # (learning rate, message epoch, SHA-256 of the metrics file), pinned from
     # the loop that ran each log pass in line. At 0.2 a batch of epoch 4
-    # diverges while the pass of epoch 3 is pending; at 10 the pass of epoch 2
-    # is non-finite and must win over anything epoch 3 does meanwhile.
+    # diverges after the pass of epoch 3 is written; at 10 the pass of epoch 2
+    # is non-finite, so no batch of epoch 3 runs.
     @pytest.mark.parametrize("lr, epoch, digest", [
         (0.2, 4, "3282e76a0a4b869aa2c6e9771dafe63f53104b792401ff22436e5d66907fb66d"),
         (10.0, 2, "13da8cf3e245d88fd1145adee5c619ca01afcaa7f8504d7dec1df271b4ef7488"),
@@ -437,6 +408,36 @@ class TestEpochLogOverlap:
         finetune(model, sset, None, cfg)
         assert threading.active_count() == threads
 
+    def test_no_thread_machinery(self, tmp_path):
+        # in a fresh process, which no other test has touched. Every module that
+        # import skd loads costs start-up time: without cached bytecode, each
+        # process compiles it again.
+        code = """if True:
+            import sys, threading
+            import skd
+            assert "concurrent.futures" not in sys.modules, "import skd loaded concurrent.futures"
+            started = []
+            start = threading.Thread.start
+            threading.Thread.start = lambda self: (started.append(self.name), start(self))
+            sset = skd.synthesize(skd.SynthConfig(C=3, per_class_count=4, D=4, d_in=3, N=2,
+                                                  noise_scale=0.1, outlier_fraction=0.0, seed=21))
+            arch = skd.StudentArch(input_dim=3, mimic_dim=4, class_count=3, trunk=(6,),
+                                   identity_dim=5)
+            model = skd.init_student(arch, seed=21)
+            cfg = skd.TrainConfig(supervision="dc", learning_rate=1e-3, epochs=4, seed=3)
+            threads = threading.active_count()
+            skd.finetune(model, sset, None, cfg, metrics_path=sys.argv[1])
+            assert threading.active_count() == threads and started == [], started
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(skd.__file__).parent.parent), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "m.jsonl")],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert len((tmp_path / "m.jsonl").read_text().splitlines()) == 4
+
 
 class TestLogPassMemory:
     """The log pass works in buffers that ``_train`` allocates once per call."""
@@ -462,9 +463,9 @@ class TestLogPassMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # margin: the full set's label, target and weight columns, two model
-        # copies, one batch step and the objective's per-row temporaries. This
-        # case peaks at about 1.15x the buffers, and at about 1.77x when each
+        # margin: the full set's label, target and weight columns, the model
+        # copy, one batch step and the objective's per-row temporaries. This
+        # case peaks at about 1.13x the buffers, and at about 1.77x when each
         # pass allocates its activations and residuals afresh.
         assert peak < 1.25 * buffer_bytes
 
