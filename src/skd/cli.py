@@ -123,7 +123,7 @@ def _arch_from_args(sset, args) -> StudentArch:
 def _selection_graph(args) -> SelectionGraph:
     """The selection graph of ``args.set`` under ``args.measure``.
 
-    The set is freed on return, so a solve holds only the graph's arrays.
+    The set is freed on return, so a solve holds only the graph's class blocks.
     """
     sset = load_student_set(_require_file(args.set))
     return build_selection_graph(sset, class_centroids(sset), measure=args.measure)

@@ -98,41 +98,8 @@ def default_lambda_grid() -> list[float]:
 def _class_edges(
     graph: SelectionGraph,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """``(ids, a, b, w)`` per nonempty class, for classes 1..C in order.
-
-    ``ids`` are the class's global face ids (ascending); ``a``, ``b`` are the
-    class's edge endpoints as local indices into ``ids``, of the smallest
-    unsigned type that holds ``len(ids)``, and ``w`` their weights, in the
-    graph's edge order. Labels must lie in 1..C: they are narrowed to the
-    smallest key type, which numpy radix-sorts.
-    """
-    labels = graph.labels.astype(np.min_scalar_type(graph.n_classes + 1))
-    bounds = np.arange(1, graph.n_classes + 2, dtype=labels.dtype)
-    face_order = np.argsort(labels, kind="stable")
-    face_start = np.searchsorted(labels[face_order], bounds)
-    # each face's index within its class
-    local = np.empty(graph.n_faces, dtype=np.min_scalar_type(graph.n_faces))
-    local[face_order] = np.arange(graph.n_faces) - np.repeat(face_start[:-1],
-                                                             np.diff(face_start))
-    edge_class = labels[graph.edge_i]
-    if np.all(edge_class[:-1] <= edge_class[1:]):  # grouped, as build_selection_graph emits
-        edge_order = None
-    else:
-        edge_order = np.argsort(edge_class, kind="stable")
-        edge_class = edge_class[edge_order]
-    edge_start = np.searchsorted(edge_class, bounds)
-    classes = []
-    for c in range(graph.n_classes):
-        lo, hi = face_start[c], face_start[c + 1]
-        if lo == hi:
-            continue
-        sel = slice(edge_start[c], edge_start[c + 1])
-        if edge_order is not None:
-            sel = edge_order[sel]
-        dtype = np.min_scalar_type(hi - lo)
-        classes.append((face_order[lo:hi], local[graph.edge_i[sel]].astype(dtype, copy=False),
-                        local[graph.edge_j[sel]].astype(dtype, copy=False), graph.edge_w[sel]))
-    return classes
+    """``(ids, a, b, w)`` per nonempty class, for classes 1..C in order: the graph's blocks."""
+    return graph.blocks
 
 
 def solve_class_cut(
@@ -182,22 +149,11 @@ def minimize(graph: SelectionGraph, lam: float) -> tuple[SelectionMask, float]:
     """
     _check_lambda(lam)
     graph.validate()
-    mask = SelectionMask(_cut_classes(graph, lam))
-    return mask, energy(graph, mask, lam)
-
-
-def _cut_classes(graph: SelectionGraph, lam: float) -> np.ndarray:
-    """The labeling of :func:`minimize`, as an int8 vector over all faces.
-
-    Every per-class array, the last class's included, is freed on return,
-    before the energy allocates its edge-long indicator. A class array left
-    alive can split the free heap block that the indicator would reuse, and
-    the heap then grows instead.
-    """
     alpha = np.zeros(graph.n_faces, dtype=np.int8)
     for ids, a, b, w in _class_edges(graph):
         alpha[ids] = solve_class_cut(graph.unary[ids], a, b, w, lam)
-    return alpha
+    mask = SelectionMask(alpha)
+    return mask, energy(graph, mask, lam)
 
 
 def _brute_force_class(

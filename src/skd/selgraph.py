@@ -64,8 +64,12 @@ class SelectionMask:
 
 @dataclass
 class SelectionGraph:
-    """Selection graph; the solvers only read it, so one graph serves many solves.
+    """Selection graph held as one edge block per class, as the solvers read it.
 
+    ``blocks`` holds ``(ids, a, b, w)`` for each nonempty class, classes 1..C
+    in order: ``ids`` are the class's global face ids (ascending), ``a < b``
+    its edges' endpoints as local indices into ``ids``, of the smallest
+    unsigned type that holds ``len(ids)``, and ``w`` their float64 weights.
     It is a plain dataclass that callers may change after it is built, so
     ``minimize`` validates it again on every solve.
     """
@@ -74,9 +78,50 @@ class SelectionGraph:
     n_classes: int
     labels: np.ndarray          # (n,) class index 1..C per face
     unary: np.ndarray           # (n,) folded inter-class cost U_i >= 0
-    edge_i: np.ndarray          # (m,) lower endpoint of each intra-class edge
-    edge_j: np.ndarray          # (m,) higher endpoint, label[i] == label[j]
-    edge_w: np.ndarray          # (m,) nonnegative weight w_ij
+    blocks: list                # (ids, a, b, w) per nonempty class
+
+    @classmethod
+    def from_edges(cls, n_faces: int, n_classes: int, labels, unary, edge_i, edge_j,
+                   edge_w) -> "SelectionGraph":
+        """A graph from flat edge arrays ``i < j``, grouped into class blocks.
+
+        Edges keep their given order within each class. The graph is not
+        validated beyond what the grouping needs.
+        """
+        labels, i, j = np.asarray(labels), np.asarray(edge_i), np.asarray(edge_j)
+        w = np.asarray(edge_w, dtype=np.float64)
+        if not len(i) == len(j) == len(w):
+            raise ValueError("edge_i, edge_j and edge_w must have one length")
+        if np.any(i >= j):
+            raise ValueError("edges must be oriented i < j")
+        if np.any(i < 0) or np.any(j >= n_faces):  # with i < j: all in range
+            raise ValueError(f"edge endpoints must lie in 0..{n_faces - 1}")
+        edge_class = labels[i]
+        if np.any(edge_class != labels[j]):
+            raise ValueError("edges must connect faces of the same class")
+        blocks = []
+        for c in range(1, n_classes + 1):
+            ids = np.flatnonzero(labels == c)
+            sel = edge_class == c
+            if len(ids):
+                dtype = np.min_scalar_type(len(ids))
+                blocks.append((ids, np.searchsorted(ids, i[sel]).astype(dtype),
+                               np.searchsorted(ids, j[sel]).astype(dtype), w[sel]))
+        return cls(n_faces, n_classes, labels, unary, blocks)
+
+    # Flat int64/int64/float64 views of every edge, block after block, built
+    # on each read: the solvers never form them.
+    @property
+    def edge_i(self) -> np.ndarray:
+        return np.concatenate([np.zeros(0, np.int64)] + [ids[a] for ids, a, _, _ in self.blocks])
+
+    @property
+    def edge_j(self) -> np.ndarray:
+        return np.concatenate([np.zeros(0, np.int64)] + [ids[b] for ids, _, b, _ in self.blocks])
+
+    @property
+    def edge_w(self) -> np.ndarray:
+        return np.concatenate([np.zeros(0)] + [w for *_, w in self.blocks])
 
     @property
     def node_count(self) -> int:
@@ -85,7 +130,7 @@ class SelectionGraph:
 
     @property
     def intra_edge_count(self) -> int:
-        return len(self.edge_w)
+        return sum(len(w) for *_, w in self.blocks)
 
     @property
     def folded_connection_count(self) -> int:
@@ -96,22 +141,27 @@ class SelectionGraph:
         n = self.n_faces
         if len(self.labels) != n or len(self.unary) != n:
             raise ValueError(f"labels and unary costs need one entry per face ({n})")
-        if not len(self.edge_i) == len(self.edge_j) == len(self.edge_w):
-            raise ValueError("edge_i, edge_j and edge_w must have one length")
         if np.any((self.labels < 1) | (self.labels > self.n_classes)):
             raise ValueError(f"labels must lie in 1..{self.n_classes}")
         if not (np.all(np.isfinite(self.unary)) and np.all(self.unary >= 0.0)):
             raise ValueError("unary costs must be finite and nonnegative")
-        if not (np.all(np.isfinite(self.edge_w)) and np.all(self.edge_w >= 0.0)):
-            raise ValueError("edge weights must be finite and nonnegative")
-        if np.any(self.edge_i >= self.edge_j):
-            raise ValueError("edges must be oriented i < j")
-        if np.any(self.edge_i < 0) or np.any(self.edge_j >= n):  # with i < j: all in range
-            raise ValueError(f"edge endpoints must lie in 0..{n - 1}")
-        # labels are in 1..C here; gathering them narrowed is several times faster
-        labels = self.labels.astype(np.min_scalar_type(self.n_classes))
-        if np.any(labels[self.edge_i] != labels[self.edge_j]):
-            raise ValueError("edges must connect faces of the same class")
+        faces, last = 0, 0
+        for ids, a, b, w in self.blocks:
+            if not len(a) == len(b) == len(w):
+                raise ValueError("a block's a, b and w must have one length")
+            if not (np.all(np.isfinite(w)) and np.all(w >= 0.0)):
+                raise ValueError("edge weights must be finite and nonnegative")
+            if np.any(a >= b) or (len(a) and (a.min() < 0 or b.max() >= len(ids))):
+                raise ValueError("a block's edges must be local pairs a < b < len(ids)")
+            if not (len(ids) and 0 <= ids[0] and ids[-1] < n and np.all(ids[:-1] < ids[1:])
+                    and np.all(self.labels[ids] == self.labels[ids[0]])
+                    and self.labels[ids[0]] > last):
+                break
+            faces, last = faces + len(ids), self.labels[ids[0]]
+        else:
+            if faces == n:
+                return
+        raise ValueError("blocks must hold each class's faces, ascending, in class order")
 
 
 def build_selection_graph(
@@ -132,37 +182,22 @@ def build_selection_graph(
     own = face_cent[np.arange(n), labels - 1]
     unary = face_cent.sum(axis=1) - own
 
-    # Each edge array is allocated once at its final length and filled in
-    # place, row by row of each class's upper triangle, so no per-class index
-    # or weight arrays are held beside it.
-    members = [np.flatnonzero(labels == c) for c in range(1, sset.C + 1)]
-    m = sum(len(idx) * (len(idx) - 1) // 2 for idx in members)
-    edge_i = np.empty(m, dtype=np.int64)
-    edge_j = np.empty(m, dtype=np.int64)
-    edge_w = np.empty(m, dtype=np.float64)
-    end = 0
-    for idx in members:
-        if len(idx) < 2:
-            continue
-        faces = F[idx]
-        gram = measure_matrix(faces, faces, measure)
-        for r in range(len(idx) - 1):
-            row = slice(end, end + len(idx) - 1 - r)
-            edge_i[row] = idx[r]
-            edge_j[row] = idx[r + 1:]
-            edge_w[row] = gram[r, r + 1:]
-            end = row.stop
-        del faces, gram  # freed before the next class's are made
+    # Each class's block is read from its Gram matrix through one boolean
+    # mask of the upper triangle, row by row, so the only temporaries beside
+    # the block are the Gram and the mask; both are freed before the next.
+    blocks = []
+    for c in range(1, sset.C + 1):
+        ids = np.flatnonzero(labels == c)
+        if len(ids):
+            faces = F[ids]
+            gram = measure_matrix(faces, faces, measure)
+            local = np.arange(len(ids), dtype=np.min_scalar_type(len(ids)))
+            upper = local[:, None] < local
+            blocks.append((ids, np.broadcast_to(local[:, None], upper.shape)[upper],
+                           np.broadcast_to(local, upper.shape)[upper], gram[upper]))
+            del faces, gram, upper
 
-    graph = SelectionGraph(
-        n_faces=n,
-        n_classes=sset.C,
-        labels=labels,
-        unary=unary.astype(np.float64, copy=False),
-        edge_i=edge_i,
-        edge_j=edge_j,
-        edge_w=edge_w,
-    )
+    graph = SelectionGraph(n, sset.C, labels, unary.astype(np.float64, copy=False), blocks)
     graph.validate()
     return graph
 
@@ -175,31 +210,32 @@ def _check_lambda(lam: float) -> None:
 
 
 def energy(graph: SelectionGraph, mask: SelectionMask, lam: float) -> float:
-    """Selection energy of ``mask`` at weight ``lam`` (pure, no mutation)."""
+    """Selection energy of ``mask`` at weight ``lam`` (pure, no mutation).
+
+    The unary part is numpy's sum of the selected faces' costs.
+    """
     _check_lambda(lam)
     pair = pairwise_reward(graph, mask)
-    return float(mask.alpha.astype(np.float64) @ graph.unary) + lam * pair
+    return float(graph.unary[mask.alpha.view(bool)].sum()) + lam * pair
 
 
 def pairwise_reward(graph: SelectionGraph, mask: SelectionMask) -> float:
     """Sum of edge weights with both endpoints selected.
 
-    The 0/1 edge indicators are formed on the int8 mask and cast once, so the
-    dot product gets the float64 operands of ``(a[edge_i] * a[edge_j]) @
-    edge_w`` with ``a`` the mask as float64. That dot product is one BLAS
-    call, and OpenBLAS splits one over more than 10,000 elements across its
-    threads: the last bits of the reward, and of energies, of larger graphs
-    follow the BLAS thread count. Minimizing masks do not depend on it.
+    It is defined as the class-order sum of numpy sums of each class's
+    selected weights. No BLAS call is made, so the value does not depend on
+    the BLAS thread count, and nothing longer than one class's edges is
+    allocated.
     """
     if len(mask) != graph.n_faces:
         raise ValueError(f"mask length {len(mask)} != {graph.n_faces} faces")
-    # The float64 indicator, the largest block here, is allocated before the
-    # int8 gathers, so that they do not split a heap hole it could reuse.
-    indicator = np.empty(len(graph.edge_w))
-    both = mask.alpha[graph.edge_i]  # int8 gathers: an eighth of the float64 ones
-    both &= mask.alpha[graph.edge_j]
-    np.copyto(indicator, both)
-    return float(indicator @ graph.edge_w)
+    reward = 0.0
+    for ids, a, b, w in graph.blocks:
+        alpha = mask.alpha[ids]
+        both = alpha[a]  # int8 gathers: an eighth of float64 ones
+        both &= alpha[b]
+        reward += float(w[both.view(bool)].sum())
+    return reward
 
 
 _DUMP_EDGES = 8192  # edge rows formatted per write
@@ -215,8 +251,8 @@ def dump_graph(graph: SelectionGraph, path: str | Path) -> None:
         f.write(f"SKDGRAPH1 {graph.n_faces} {graph.n_classes} {graph.intra_edge_count}\n")
         for i, (label, u) in enumerate(zip(graph.labels.tolist(), graph.unary.tolist())):
             f.write(f"{i},{label},{u!r}\n")
-        for lo in range(0, graph.intra_edge_count, _DUMP_EDGES):
-            rows = slice(lo, lo + _DUMP_EDGES)
-            f.write("".join(f"{i},{j},{w!r}\n" for i, j, w in zip(
-                graph.edge_i[rows].tolist(), graph.edge_j[rows].tolist(),
-                graph.edge_w[rows].tolist())))
+        for ids, a, b, w in graph.blocks:
+            for lo in range(0, len(w), _DUMP_EDGES):
+                rows = slice(lo, lo + _DUMP_EDGES)
+                f.write("".join(f"{i},{j},{x!r}\n" for i, j, x in zip(
+                    ids[a[rows]].tolist(), ids[b[rows]].tolist(), w[rows].tolist())))

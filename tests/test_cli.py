@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skd
 from skd.cli import _parse_grid, main
 from skd.dataset import load_student_set
 from skd.distiller import total_loss
@@ -67,15 +72,16 @@ class TestSelect:
 
 
 class TestSelectMemory:
-    """A one-shot select holds the graph's edge arrays plus one class's cut."""
+    """A one-shot select holds the graph's class blocks plus one class's cut."""
 
     def test_select_peaks_near_the_edge_arrays(self, tmp_path):
-        # the benchmark's set shape (128-d features, 4 versions of 8-d inputs)
-        # at 4 x 200 faces: 79,600 edges
+        # 4 x 200 faces, 79,600 edges, with 16-d features and one 4-d input
+        # version per face: at the benchmark's 128-d features and 4 x 8-d
+        # inputs, parsing the set (3.9 MB) would peak above the graph here
         path = tmp_path / "s.skd"
-        assert main(synth_args(path, classes=4, per_class=200, teacher_dim=128, input_dim=8,
-                               versions=4, noise=0.005, outlier_fraction=0.1, seed=3)) == 0
-        edge_bytes = 4 * (200 * 199 // 2) * (8 + 8 + 8)  # int64 i and j, float64 w
+        assert main(synth_args(path, classes=4, per_class=200, teacher_dim=16, input_dim=4,
+                               versions=1, noise=0.005, outlier_fraction=0.1, seed=3)) == 0
+        block_bytes = 4 * (200 * 199 // 2) * (2 + 2 + 8)  # uint16 a and b, float64 w
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -84,12 +90,39 @@ class TestSelectMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # This select peaks at about 2.1x the edge arrays, in the graph build
-        # (the set, the edges and one class's Gram matrix). Holding the set
-        # through the solve gives about 2.5x, as do the build's triangle-index
-        # arrays; the flow network's int64 temporaries give 2.7x, and all
-        # three 3.2x.
-        assert peak < 2.4 * edge_bytes
+        # This select peaks at about 2.55x the blocks (2.44 MB): the blocks
+        # plus one class's flow network and its temporaries. Flat int64/int64/
+        # float64 edge arrays instead peak at about 3.9x (3.71 MB).
+        assert peak < 2.8 * block_bytes
+
+
+class TestBlasThreads:
+    """Energies are numpy sums, so they do not follow the BLAS thread count."""
+
+    def test_select_and_sweep_print_the_same_at_one_and_two_threads(self, tmp_path):
+        # 3 x 120 faces: 21,420 edges, more than the 10,000 elements above
+        # which OpenBLAS splits one dot product across its threads
+        path = tmp_path / "s.skd"
+        assert main(synth_args(path, classes=3, per_class=120, teacher_dim=16, input_dim=4,
+                               versions=1, noise=0.2, seed=4)) == 0
+        src = str(Path(skd.__file__).parent.parent)
+        pythonpath = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            out = tmp_path / threads
+            out.mkdir()
+
+            def run(*argv):
+                return subprocess.run([sys.executable, "-m", "skd.cli", *argv, "--set", str(path)],
+                                      env=env, cwd=out, capture_output=True, text=True,
+                                      check=True).stdout
+
+            outputs.append((run("select", "--lambda", "-0.05", "--out", "m.mask"),
+                            run("sweep", "--out", "sweep.csv"),
+                            (out / "sweep.csv").read_bytes()))
+        assert "energy -" in outputs[0][0]
+        assert outputs[0] == outputs[1]
 
 
 class TestSweep:

@@ -38,7 +38,7 @@ def adversarial_graph(rng, max_classes=2, max_faces=7) -> SelectionGraph:
         ej.append(idx[b])
     edge_i = np.concatenate(ei).astype(np.int64)
     edge_j = np.concatenate(ej).astype(np.int64)
-    return SelectionGraph(
+    return SelectionGraph.from_edges(
         len(labels), len(sizes), labels, rng.choice(values, len(labels)),
         edge_i, edge_j, rng.choice(values, len(edge_i)),
     )
@@ -63,13 +63,27 @@ def golden_cases():
         yield g, lam
 
 
-# SHA-256 of every golden case's mask bytes and repr(energy), in order. The
-# solver must reproduce it bit for bit; a change here changes selections.
-GOLDEN_DIGEST = "caf519821f6add479c2dc379f0cd66c14626c0f4784ce9f748f7373803f16626"
+# SHA-256 of every golden case's mask bytes, and of its mask bytes and
+# repr(energy), in order. The solver must reproduce both bit for bit. A change
+# to how energies are summed moves only the second; a change to the first
+# changes selections.
+GOLDEN_MASK_DIGEST = "cbf4ccbb2509eeecf89d9fa93bff39e952f48078ecef4d0b0b277fdbbf98ec4b"
+GOLDEN_DIGEST = "f3150b9f96a8f4ab0180c3c9bd8c55fb64d4076fe69f72330afd59f96cfd9f3c"
+
+
+def digests(cases) -> tuple[str, str]:
+    """SHA-256 of the minimizing masks alone, and of the masks with repr(energy)."""
+    masks, both = hashlib.sha256(), hashlib.sha256()
+    for g, lam in cases:
+        mask, e = minimize(g, lam)
+        masks.update(mask.alpha.tobytes())
+        both.update(mask.alpha.tobytes())
+        both.update(repr(e).encode("ascii"))
+    return masks.hexdigest(), both.hexdigest()
 
 
 def single_face_graph(u: float) -> SelectionGraph:
-    return SelectionGraph(
+    return SelectionGraph.from_edges(
         1, 1, np.array([1]), np.array([u], dtype=float),
         np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
     )
@@ -110,7 +124,7 @@ class TestMinimize:
 
     def test_mutual_support_pair(self):
         # two zero-unary faces joined by an edge get selected together
-        g = SelectionGraph(
+        g = SelectionGraph.from_edges(
             2, 1, np.array([1, 1]), np.zeros(2),
             np.array([0], dtype=np.int64), np.array([1], dtype=np.int64),
             np.array([0.7]),
@@ -131,7 +145,7 @@ class TestMinimize:
         n = 1200
         unary = np.full(n, 3.0)
         unary[0], unary[-1] = 1.0, 0.0
-        g = SelectionGraph(
+        g = SelectionGraph.from_edges(
             n, 1, np.ones(n, dtype=np.int64), unary,
             np.arange(n - 1, dtype=np.int64), np.arange(1, n, dtype=np.int64),
             np.ones(n - 1),
@@ -143,12 +157,7 @@ class TestMinimize:
 
 class TestGolden:
     def test_masks_and_energies_bit_identical(self):
-        h = hashlib.sha256()
-        for g, lam in golden_cases():
-            mask, e = minimize(g, lam)
-            h.update(mask.alpha.tobytes())
-            h.update(repr(e).encode("ascii"))
-        assert h.hexdigest() == GOLDEN_DIGEST
+        assert digests(golden_cases()) == (GOLDEN_MASK_DIGEST, GOLDEN_DIGEST)
 
 
 def stress_cases():
@@ -165,21 +174,17 @@ def stress_cases():
     yield graph(4, 500, 7), -0.05
 
 
-# Same digest as GOLDEN_DIGEST, over stress_cases(): classes of 300-500 faces
-# with 44,850-124,750 edges each, the scale the solver's array paths are built for.
-# The energies' dot products run over more than 10,000 edges, so OpenBLAS splits
-# them across its threads; this is the value at one BLAS thread (tests/conftest.py).
-STRESS_DIGEST = "5f00245be4b79faa4d0cc5c1dd234bf39372f1195017f5febd97259557db4724"
+# Same digests as the golden ones, over stress_cases(): classes of 300-500
+# faces with 44,850-124,750 edges each, the scale the solver's array paths are
+# built for. The energies are numpy sums, with no BLAS call, so the digests do
+# not depend on the BLAS thread count.
+STRESS_MASK_DIGEST = "b8a6108a3d8fc8896d7254931f6e9da8e72b25db6e67aa243406661f930e0491"
+STRESS_DIGEST = "e384c21ef5586fefb10a41038f2bb5430e92454cd133fd97d0b6884bea1bcaac"
 
 
 class TestStressGolden:
     def test_masks_and_energies_bit_identical(self):
-        h = hashlib.sha256()
-        for g, lam in stress_cases():
-            mask, e = minimize(g, lam)
-            h.update(mask.alpha.tobytes())
-            h.update(repr(e).encode("ascii"))
-        assert h.hexdigest() == STRESS_DIGEST
+        assert digests(stress_cases()) == (STRESS_MASK_DIGEST, STRESS_DIGEST)
 
 
 def shuffled(g: SelectionGraph, rng) -> SelectionGraph:
@@ -191,8 +196,9 @@ def shuffled(g: SelectionGraph, rng) -> SelectionGraph:
     unary[new_id] = g.unary
     i, j = new_id[g.edge_i], new_id[g.edge_j]
     order = rng.permutation(len(i))
-    return SelectionGraph(g.n_faces, g.n_classes, labels, unary,
-                          np.minimum(i, j)[order], np.maximum(i, j)[order], g.edge_w[order])
+    return SelectionGraph.from_edges(g.n_faces, g.n_classes, labels, unary,
+                                     np.minimum(i, j)[order], np.maximum(i, j)[order],
+                                     g.edge_w[order])
 
 
 class TestClassEdges:
@@ -208,9 +214,9 @@ class TestClassEdges:
             first = np.searchsorted(labels, c)
             ei.append(first + a)
             ej.append(first + b)
-        g = SelectionGraph(len(labels), n_classes, labels, rng.random(len(labels)),
-                           np.concatenate(ei), np.concatenate(ej),
-                           rng.random(sum(len(e) for e in ei)))
+        g = SelectionGraph.from_edges(len(labels), n_classes, labels, rng.random(len(labels)),
+                                      np.concatenate(ei), np.concatenate(ej),
+                                      rng.random(sum(len(e) for e in ei)))
         if shuffle:
             g = shuffled(g, rng)
         got = _class_edges(g)
@@ -246,6 +252,31 @@ class TestClassEdges:
             assert np.array_equal(ids[a], g.edge_i[in_class])
             assert np.array_equal(ids[b], g.edge_j[in_class])
 
+    def test_builder_blocks_equal_from_edges_of_their_flat_views(self):
+        s = synthesize(SynthConfig(C=4, per_class_count=9, D=6, d_in=2, N=1,
+                                   noise_scale=0.5, seed=5))
+        # classes of 12, 1, 6 and 17 faces, interleaved
+        s.labels = np.random.default_rng(0).permutation(np.repeat([1, 2, 3, 4], [12, 1, 6, 17]))
+        g = build_selection_graph(s, class_centroids(s))
+        flat = SelectionGraph.from_edges(g.n_faces, g.n_classes, g.labels, g.unary,
+                                         g.edge_i, g.edge_j, g.edge_w)
+        assert len(flat.blocks) == len(g.blocks) == 4
+        for got, want in zip(flat.blocks, g.blocks):
+            for part, expected in zip(got, want):
+                assert part.dtype == expected.dtype
+                assert part.tobytes() == expected.tobytes()
+        # renumbered and reordered: the same edges, in the shuffled order
+        h = shuffled(g, np.random.default_rng(2))
+        old_id = np.argsort(np.random.default_rng(2).permutation(g.n_faces))
+        for (ids, a, b, w), (h_ids, h_a, h_b, h_w) in zip(g.blocks, h.blocks):
+            assert np.array_equal(np.sort(old_id[h_ids]), ids)
+            assert h_a.dtype == h_b.dtype == a.dtype
+            i, j = old_id[h_ids[h_a]], old_id[h_ids[h_b]]
+            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            order = np.lexsort((hi, lo))  # back to row-major upper-triangle order
+            assert np.array_equal(lo[order], ids[a]) and np.array_equal(hi[order], ids[b])
+            assert h_w[order].tobytes() == w.tobytes()
+
     def test_relabelled_graph_gets_the_same_selection(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -271,7 +302,7 @@ class TestBruteForce:
 
     def test_class_size_limit(self):
         labels = np.ones(21, dtype=np.int64)
-        g = SelectionGraph(
+        g = SelectionGraph.from_edges(
             21, 1, labels, np.ones(21),
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0),
         )
@@ -284,7 +315,7 @@ class TestBruteForce:
     def test_dust_on_a_sink_arc_does_not_select(self):
         # pushes of 1e-6 and then 1e-12 leave 2.8e-23 on face 2's sink arc,
         # above the snap threshold 1e-24, so face 2 stays reachable from the sink
-        g = SelectionGraph(
+        g = SelectionGraph.from_edges(
             3, 1, np.ones(3, dtype=np.int64), np.array([1e6, 1e3, 0.0]),
             np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([1.0, 1.0, 1e-6]),
         )

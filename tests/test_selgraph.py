@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def random_graph(rng, max_classes=4, max_faces=8):
                 ei.append(idx[a])
                 ej.append(idx[b])
                 ew.append(0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 1.0)))
-    return SelectionGraph(
+    return SelectionGraph.from_edges(
         n, len(sizes), labels, unary,
         np.array(ei, dtype=np.int64), np.array(ej, dtype=np.int64),
         np.array(ew, dtype=np.float64),
@@ -113,10 +114,16 @@ class TestBuild:
 
     @pytest.mark.parametrize("bad", [0, 3])
     def test_labels_outside_class_range_rejected(self, three_face_graph, bad):
-        three_face_graph.labels = np.array([1, bad, 2])
-        three_face_graph.edge_i = three_face_graph.edge_j = np.zeros(0, dtype=np.int64)
-        three_face_graph.edge_w = np.zeros(0)
+        g = SelectionGraph.from_edges(3, 2, np.array([1, bad, 2]), three_face_graph.unary,
+                                      np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                                      np.zeros(0))
         with pytest.raises(ValueError, match=r"labels must lie in 1\.\.2"):
+            g.validate()
+
+    def test_relabelled_face_rejected(self, three_face_graph):
+        # face 1 moved to class 2 after the build: its block no longer holds one class
+        three_face_graph.labels = np.array([1, 2, 2])
+        with pytest.raises(ValueError, match="each class's faces"):
             three_face_graph.validate()
 
     def test_centroid_class_count_mismatch(self):
@@ -126,10 +133,10 @@ class TestBuild:
 
     @pytest.mark.parametrize("i, j", [(-1, 0), (0, 7)])
     def test_edge_endpoint_outside_faces_rejected(self, three_face_graph, i, j):
-        three_face_graph.edge_i = np.array([i])
-        three_face_graph.edge_j = np.array([j])
+        g = three_face_graph
         with pytest.raises(ValueError, match=r"endpoints must lie in 0\.\.2"):
-            three_face_graph.validate()
+            SelectionGraph.from_edges(3, 2, g.labels, g.unary, np.array([i]), np.array([j]),
+                                      g.edge_w)
 
     @pytest.mark.parametrize("field", ["labels", "unary"])
     def test_face_count_mismatch_rejected(self, three_face_graph, field):
@@ -143,9 +150,11 @@ class TestBuild:
 
     @pytest.mark.parametrize("field", ["edge_i", "edge_j", "edge_w"])
     def test_edge_array_length_mismatch_rejected(self, three_face_graph, field):
-        setattr(three_face_graph, field, np.repeat(getattr(three_face_graph, field), 2))
+        g = three_face_graph
+        edges = {name: getattr(g, name) for name in ("edge_i", "edge_j", "edge_w")}
+        edges[field] = np.repeat(edges[field], 2)
         with pytest.raises(ValueError, match="one length"):
-            three_face_graph.validate()
+            SelectionGraph.from_edges(3, 2, g.labels, g.unary, **edges)
 
 
 class TestEnergy:
@@ -185,9 +194,9 @@ class TestEnergy:
             assert total == pytest.approx(by_class, abs=1e-9)
 
     @pytest.mark.parametrize("shape", [(2, 150), (3, 7)])
-    def test_pairwise_reward_is_the_float64_product_dot(self, shape):
-        # (2, 150) has 22,350 edges: a dot product long enough to be split
-        # across BLAS threads, which must still see identical operands.
+    def test_pairwise_reward_is_the_per_class_sum(self, shape):
+        # (2, 150) has 22,350 edges, more than a BLAS dot product would split
+        # across threads.
         C, per_class = shape
         s = synthesize(SynthConfig(C=C, per_class_count=per_class, D=8, d_in=2, N=1,
                                    noise_scale=0.3, seed=9))
@@ -196,8 +205,14 @@ class TestEnergy:
         masks = [SelectionMask.zeros(g.n_faces), SelectionMask.ones(g.n_faces)] + [
             SelectionMask(rng.integers(0, 2, g.n_faces)) for _ in range(5)]
         for mask in masks:
-            a = mask.alpha.astype(np.float64)
-            assert pairwise_reward(g, mask) == float((a[g.edge_i] * a[g.edge_j]) @ g.edge_w)
+            reward = 0.0
+            for ids, a, b, w in g.blocks:
+                alpha = mask.alpha[ids]
+                reward += float(w[(alpha[a] == 1) & (alpha[b] == 1)].sum())
+            assert pairwise_reward(g, mask) == reward
+            both = (mask.alpha[g.edge_i] == 1) & (mask.alpha[g.edge_j] == 1)
+            exact = math.fsum(g.edge_w[both].tolist())
+            assert pairwise_reward(g, mask) == pytest.approx(exact, rel=1e-12, abs=0)
         assert pairwise_reward(g, masks[0]) == 0.0
 
     def test_energy_nondecreasing_in_lambda(self):
