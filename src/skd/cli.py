@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -44,6 +43,7 @@ from .mincut import (
     lambda_sweep,
     load_mask,
     minimize,
+    pow2_lambda_grid,
     save_mask,
     write_sweep_csv,
 )
@@ -87,23 +87,10 @@ def _require_file(path: str) -> Path:
 def _parse_grid(spec: str) -> list[float]:
     """Grid spec: 'pow2:<lo>..<hi>' (powers of two plus 0) or 'list:a,b,c'."""
     if spec.startswith("pow2:"):
-        body = spec[len("pow2:"):]
-        lo_s, sep, hi_s = body.partition("..")
+        lo, sep, hi = spec[len("pow2:"):].partition("..")
         if not sep:
             raise ValueError(f"bad grid spec {spec!r} (expected pow2:<lo>..<hi>)")
-        lo, hi = float(lo_s), float(hi_s)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"grid bounds must be finite, got {lo}..{hi}")
-        if lo > hi or lo >= 0:
-            raise ValueError(f"bad grid range {lo}..{hi}")
-        top = hi if hi < 0 else -1.0
-        # 2**1023 is the largest finite power of two, so no finite lo overflows
-        grid = [-(2.0**k) for k in range(1023, -1, -1) if lo <= -(2.0**k) <= top]
-        if hi == 0.0:
-            grid.append(0.0)
-        if not grid:
-            raise ValueError(f"grid spec {spec!r} produced no values")
-        return grid
+        return pow2_lambda_grid(float(lo), float(hi))
     if spec.startswith("list:"):
         return sorted(float(v) for v in spec[len("list:"):].split(","))
     raise ValueError(f"bad grid spec {spec!r} (expected pow2:... or list:...)")

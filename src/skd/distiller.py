@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import StudentSet
+from .metric import unit_rows
 from .selgraph import SelectionMask
 from .student import StudentModel, activation_derivative, forward_trace, init_layers
 
@@ -124,10 +125,8 @@ def _full_set(
 
     X = sset.inputs.reshape(-1, sset.d_in)
     y = np.repeat(sset.labels, sset.N)
-    F = np.repeat(sset.features, sset.N, axis=0)
-    if normalize_targets:
-        norms = np.linalg.norm(F, axis=1, keepdims=True)
-        F = F / np.maximum(norms, 1e-300)
+    F = np.repeat(unit_rows(sset.features) if normalize_targets else sset.features,
+                  sset.N, axis=0)
     return X, y, F, np.repeat(alpha, sset.N), use_cls, use_reg
 
 

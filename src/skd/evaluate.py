@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import StudentSet
+from .metric import unit_rows
 from .student import StudentModel, forward_trace, tap_output
 
 __all__ = [
@@ -36,12 +37,6 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _normalize_rows(M: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(M, axis=1, keepdims=True)
-    # Zero-feature rows stay zero; their cosine against anything scores 0.
-    return np.where(norms > 0.0, M / np.maximum(norms, 1e-300), 0.0)
-
-
 def evaluate_verification(
     model: StudentModel,
     pairs: list[tuple[np.ndarray, np.ndarray, bool]],
@@ -55,8 +50,8 @@ def evaluate_verification(
     same = np.array([bool(p[2]) for p in pairs])
     if same.all() or not same.any():
         raise ValueError("degenerate pair set: need both positive and negative pairs")
-    fa = _normalize_rows(tap_output(model, A, tap))
-    fb = _normalize_rows(tap_output(model, B, tap))
+    fa = unit_rows(tap_output(model, A, tap))
+    fb = unit_rows(tap_output(model, B, tap))
     scores = np.einsum("ij,ij->i", fa, fb)
     return auc_score(scores, same)
 
@@ -98,13 +93,13 @@ def evaluate_retrieval(
     gallery_ids = np.array([g[0] for g in gallery])
     if len(set(gallery_ids.tolist())) != len(gallery_ids):
         raise ValueError("gallery ids must be unique")
-    G = _normalize_rows(np.stack([np.asarray(g[1], dtype=np.float64) for g in gallery]))
+    G = unit_rows(np.stack([np.asarray(g[1], dtype=np.float64) for g in gallery]))
     probe_ids = np.array([p[0] for p in probes])
     missing = set(probe_ids.tolist()) - set(gallery_ids.tolist())
     if missing:
         raise ValueError(f"probe ids missing from gallery: {sorted(missing)}")
     X = np.stack([np.asarray(p[1], dtype=np.float64) for p in probes])
-    F = _normalize_rows(tap_output(model, X, tap))
+    F = unit_rows(tap_output(model, X, tap))
     if F.shape[1] != G.shape[1]:
         raise ValueError(f"tap dim {F.shape[1]} != gallery feature dim {G.shape[1]}")
     sims = F @ G.T

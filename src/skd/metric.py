@@ -1,9 +1,10 @@
-"""Pairwise similarity measure and class centroids over teacher features.
+"""Row normalization, pairwise similarity measure and class centroids.
 
-The default measure is clamped cosine similarity max(0, cos) in [0, 1]: the
-selection energy needs a nonnegative affinity where "high" means "alike". The
-alternate ``cosdist`` mode, 1 - cos in [0, 2], is kept configurable but is not
-the default (it inverts the selection semantics).
+``unit_rows`` is the one row normalization behind every cosine. The default
+measure is clamped cosine similarity max(0, cos) in [0, 1]: the selection
+energy needs a nonnegative affinity where "high" means "alike". The alternate
+``cosdist`` mode, 1 - cos in [0, 2], is kept configurable but is not the
+default (it inverts the selection semantics).
 """
 
 from __future__ import annotations
@@ -12,14 +13,27 @@ import numpy as np
 
 from .dataset import StudentSet
 
-__all__ = ["MEASURES", "pairwise_measure", "measure_matrix", "class_centroids"]
+__all__ = ["MEASURES", "unit_rows", "pairwise_measure", "measure_matrix", "class_centroids"]
 
 MEASURES = ("cossim", "cosdist")
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MEASURES:
-        raise ValueError(f"unknown measure mode {mode!r}; expected one of {MEASURES}")
+def unit_rows(M) -> np.ndarray:
+    """Each row of M divided by its Euclidean norm, as a new float64 array.
+
+    A row is first scaled by the power of two that brings its largest
+    magnitude into [0.5, 1). The scaling is exact, so no square in the norm
+    overflows or underflows at any magnitude, and a row whose elements and
+    squares stay in the normal range keeps the bits of
+    ``M / np.linalg.norm(M, axis=1, keepdims=True)``. Zero rows stay zero.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    U = np.abs(M)
+    shift = -np.frexp(U.max(axis=1, initial=0.0))[1][:, None]
+    # np.linalg.norm's sum of squares, formed in the result's buffer: no other full-size array.
+    norms = np.sqrt(np.square(np.ldexp(M, shift, out=U), out=U).sum(axis=1, keepdims=True))
+    norms[norms == 0.0] = 1.0
+    return np.divide(np.ldexp(M, shift, out=U), norms, out=U)
 
 
 def pairwise_measure(a, b, mode: str = "cossim") -> float:
@@ -28,23 +42,11 @@ def pairwise_measure(a, b, mode: str = "cossim") -> float:
     Symmetric and invariant to positive rescaling of either argument.
     Raises ValueError on zero-norm input.
     """
-    _check_mode(mode)
     va = np.asarray(a, dtype=np.float64)
     vb = np.asarray(b, dtype=np.float64)
     if va.ndim != 1 or va.shape != vb.shape:
         raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    if not np.any(va) or not np.any(vb):
-        raise ValueError("zero-norm vector has no direction")
-    # The cosine is scale-invariant. Dividing by the largest magnitude first
-    # keeps the squares in the norms out of the subnormal range, where the
-    # norm of a vector like [1e-160, 0] loses most of its digits.
-    va = va / np.max(np.abs(va))
-    vb = vb / np.max(np.abs(vb))
-    c = float(np.dot(va, vb) / (np.linalg.norm(va) * np.linalg.norm(vb)))
-    c = min(1.0, max(-1.0, c))
-    if mode == "cossim":
-        return max(0.0, c)
-    return 1.0 - c
+    return float(measure_matrix(va[None], vb[None], mode)[0, 0])
 
 
 def measure_matrix(A: np.ndarray, B: np.ndarray, mode: str = "cossim") -> np.ndarray:
@@ -53,16 +55,14 @@ def measure_matrix(A: np.ndarray, B: np.ndarray, mode: str = "cossim") -> np.nda
     The inputs are never written; the result is clipped and clamped in place.
     The two normalized operands are separate arrays even when A is B: numpy
     computes ``X @ X.T`` on one buffer as a symmetric product, whose last bits
-    differ from the general product's.
+    differ from the general product's. Raises ValueError on a zero row.
     """
-    _check_mode(mode)
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    na = np.linalg.norm(A, axis=1)
-    nb = np.linalg.norm(B, axis=1)
-    if np.any(na == 0.0) or np.any(nb == 0.0):
+    if mode not in MEASURES:
+        raise ValueError(f"unknown measure mode {mode!r}; expected one of {MEASURES}")
+    if not (np.any(A, axis=1).all() and np.any(B, axis=1).all()):
         raise ValueError("zero-norm vector has no direction")
-    cos = (A / na[:, None]) @ (B / nb[:, None]).T
+    UA = unit_rows(A)
+    cos = UA @ (UA.copy() if B is A else unit_rows(B)).T
     np.clip(cos, -1.0, 1.0, out=cos)
     if mode == "cossim":
         return np.maximum(cos, 0.0, out=cos)

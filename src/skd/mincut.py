@@ -25,6 +25,7 @@ alpha_i = 0 at the lowest index).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +39,7 @@ __all__ = [
     "SweepEntry",
     "SweepResult",
     "default_lambda_grid",
+    "pow2_lambda_grid",
     "minimize",
     "brute_force_minimize",
     "lambda_sweep",
@@ -90,9 +92,23 @@ class SweepResult:
             prev = e
 
 
+def pow2_lambda_grid(lo: float, hi: float) -> list[float]:
+    """Negative powers of two -2**k in [lo, min(hi, -1)], ascending, then 0 if hi is 0."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and lo < 0):
+        raise ValueError(f"grid bounds must be finite with lo <= hi and lo < 0, got {lo}..{hi}")
+    top = hi if hi < 0 else -1.0
+    # 2**1023 is the largest finite power of two, so no finite lo overflows
+    grid = [-(2.0**k) for k in range(1023, -1, -1) if lo <= -(2.0**k) <= top]
+    if hi == 0.0:
+        grid.append(0.0)
+    if not grid:
+        raise ValueError(f"grid {lo}..{hi} has no power of two")
+    return grid
+
+
 def default_lambda_grid() -> list[float]:
     """Powers of two from -8192 up to -1, then 0."""
-    return [-float(2**k) for k in range(13, -1, -1)] + [0.0]
+    return pow2_lambda_grid(-8192.0, 0.0)
 
 
 def _class_edges(
@@ -202,8 +218,10 @@ def brute_force_minimize(graph: SelectionGraph, lam: float) -> tuple[SelectionMa
 def lambda_sweep(graph: SelectionGraph, lambdas: list[float] | None = None) -> SweepResult:
     """Run :func:`minimize` over a lambda grid (default: pow2 -8192..-1, 0)."""
     grid = default_lambda_grid() if lambdas is None else sorted(float(v) for v in lambdas)
-    for lam in grid:
+    for i, lam in enumerate(grid):
         _check_lambda(lam)
+        if i and lam == grid[i - 1]:
+            raise ValueError(f"lambda {lam!r} repeats in the grid")
     entries = []
     for lam in grid:
         mask, e = minimize(graph, lam)

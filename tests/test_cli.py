@@ -4,14 +4,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import skd
+from skd import mincut
 from skd.cli import _parse_grid, main
-from skd.dataset import load_student_set
+from skd.dataset import load_student_set, save_student_set
 from skd.distiller import total_loss
 from skd.mincut import load_mask, save_mask
 from skd.selgraph import SelectionMask
@@ -165,6 +167,66 @@ class TestSweep:
     def test_invalid_pow2_grid_exit_5(self, toy_set, tmp_path, spec):
         assert main(["sweep", "--set", str(toy_set), "--grid", spec,
                      "--out", str(tmp_path / "s.csv")]) == 5
+
+    def test_repeated_lambda_exit_5_before_any_solve(self, toy_set, tmp_path, capsys,
+                                                      monkeypatch):
+        solves, solve = [], mincut.minimize
+        monkeypatch.setattr(mincut, "minimize", lambda *args: solves.append(args) or solve(*args))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--set", str(toy_set), "--grid", "list:-1,-1,0",
+                     "--out", str(out)]) == 5
+        assert "lambda -1.0 repeats in the grid" in capsys.readouterr().err
+        assert solves == [] and not out.exists()
+
+
+class TestScaleInvariance:
+    """Select and normalized targets read only the directions of the teacher features."""
+
+    @pytest.fixture
+    def sets(self, tmp_path):
+        """The same 4 x 10 set at feature scales 2**k; a power of two keeps every value exact.
+
+        At 2**530 the squares in a feature's norm overflow, at 2**-565 they underflow.
+        """
+        base = tmp_path / "s0.skd"
+        assert main(synth_args(base, classes=4, per_class=10, teacher_dim=16, input_dim=4,
+                               versions=2, noise=0.005, outlier_fraction=0.1, seed=3)) == 0
+        sset = load_student_set(base)
+        paths = {0: base}
+        for k in (530, -565):
+            paths[k] = tmp_path / f"s{k}.skd"
+            save_student_set(replace(sset, features=np.ldexp(sset.features, k)), paths[k])
+        return paths
+
+    def test_select_keeps_its_mask_and_energy(self, sets, tmp_path, capsys):
+        def select(k):
+            out = tmp_path / f"m{k}.mask"
+            capsys.readouterr()
+            assert main(["select", "--set", str(sets[k]), "--lambda", "-1",
+                         "--out", str(out)]) == 0
+            return out.read_bytes(), capsys.readouterr().out.split(" -> ")[0]
+
+        reference = select(0)
+        assert reference[1].startswith("lambda=-1.0: selected 36/40 (energy ")
+        for k in (530, -565):
+            assert select(k) == reference, k
+
+    def test_normalized_targets_keep_the_checkpoint(self, sets, tmp_path):
+        pre = tmp_path / "pre.ckpt"
+        assert main(["pretrain", "--set", str(sets[0]), "--epochs", "3", "--lr", "1e-3",
+                     "--seed", "3", "--hidden", "6,6", "--identity-dim", "8",
+                     "--out", str(pre)]) == 0
+
+        def finetune(k):
+            out = tmp_path / f"f{k}.ckpt"
+            assert main(["finetune", "--set", str(sets[k]), "--ckpt", str(pre),
+                         "--supervision", "dc", "--normalize-targets", "--epochs", "3",
+                         "--lr", "1e-3", "--seed", "3", "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        reference = finetune(0)
+        for k in (530, -565):
+            assert finetune(k) == reference, k
 
 
 class TestErrors:

@@ -278,7 +278,7 @@ class TestTraining:
             TrainConfig(learning_rate=-1)
 
 
-class TestEpochLogOverlap:
+class TestEpochLogInLine:
     """The full-set log pass of epoch e runs in line, before epoch e+1 trains.
 
     It checks the trained terms for divergence and writes its metrics line

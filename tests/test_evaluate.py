@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -202,3 +204,17 @@ class TestRetrieval:
         m = identity_model(2)
         with pytest.raises(ValueError, match="unique"):
             evaluate_retrieval(m, [(0, np.ones(2)), (0, np.ones(2))], [(0, np.ones(2))])
+
+
+@pytest.mark.parametrize("k", [0, 600, -600])
+def test_scores_do_not_depend_on_the_tap_magnitude(k):
+    # Tap outputs of 2**600 or 2**-600 square out of the float range; the
+    # cosine must still see their directions.
+    m = identity_model(4)
+    rng = np.random.default_rng(3)
+    members = [(c, np.eye(4)[c] + 0.05 * rng.normal(size=4)) for c in range(4) for _ in range(3)]
+    pairs = [(np.ldexp(a, k), np.ldexp(b, k), ca == cb)
+             for (ca, a), (cb, b) in itertools.combinations(members, 2)]
+    assert evaluate_verification(m, pairs) == 1.0
+    gallery = [(c, np.eye(4)[c]) for c in range(4)]
+    assert evaluate_retrieval(m, gallery, [(c, np.ldexp(v, k)) for c, v in members]) == 1.0

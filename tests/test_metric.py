@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from skd.dataset import StudentSet
-from skd.metric import class_centroids, measure_matrix, pairwise_measure
+from skd.metric import class_centroids, measure_matrix, pairwise_measure, unit_rows
 
 finite_vec = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=2, max_size=8
@@ -152,3 +152,30 @@ def test_measure_matrix_writes_only_its_result(mode, rows, dim):
     assert measure_matrix(A, B, mode).tobytes() == out_of_place_measure(A, B, mode).tobytes()
     assert measure_matrix(A, A, mode).tobytes() == out_of_place_measure(A, A, mode).tobytes()
     assert (A.tobytes(), B.tobytes()) == before
+
+
+# Zeros and magnitudes 2**-200 .. 2**201: every square in a norm is a normal float.
+normal_entry = st.one_of(st.just(0.0), st.builds(
+    lambda sign, m, e: sign * math.ldexp(m, e), st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=1.0, max_value=2.0, exclude_max=True), st.integers(-200, 200)))
+normal_matrix = st.integers(1, 6).flatmap(lambda d: st.lists(
+    st.lists(normal_entry, min_size=d, max_size=d), min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=normal_matrix, k=st.integers(-1100, 1100))
+@example(M=[[1.0, 0.5], [0.0, 0.0], [-3.0, 2.0 ** -200]], k=530)
+@example(M=[[1.0, 0.5], [0.0, 0.0], [-3.0, 2.0 ** -200]], k=-565)
+def test_unit_rows_is_exact_at_every_scale(M, k):
+    M = np.array(M)
+    U = unit_rows(M)
+    zero = ~M.any(axis=1)
+    assert not U[zero].any()
+    expected = M[~zero] / np.linalg.norm(M[~zero], axis=1, keepdims=True)
+    assert U[~zero].tobytes() == expected.tobytes()
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(M, k)
+    magnitudes = np.abs(scaled[M != 0.0])
+    assume(magnitudes.size == 0 or (magnitudes.min() >= np.finfo(np.float64).tiny
+                                    and np.isfinite(magnitudes.max())))
+    assert unit_rows(scaled).tobytes() == U.tobytes()
