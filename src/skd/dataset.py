@@ -160,7 +160,7 @@ class SynthConfig:
 
 
 _FLAG_VALUE = {"0": 0, "1": 1, "-": -1}  # SKD1 outlier flag text
-_DECIMAL_CHARS = str.maketrans("", "", "0123456789.eE+-,")  # deleted by translate
+_DECIMAL_CHARS = b"0123456789.eE+-,\n"  # what bytes.translate deletes from a parseable body
 
 
 def save_student_set(sset: StudentSet, path: str | Path) -> None:
@@ -196,11 +196,11 @@ def _exact_values(lines: list[str], N: int, first: int) -> list[float]:
 
 
 class _Lines:
-    """Iterator over an open text file's lines, without their newlines.
+    """Reads an open text file's lines a list at a time.
 
-    ``count`` is the number of the last non-blank line read so far, so once
-    the file is drained it is the file's line count without trailing blank
-    lines.
+    ``lineno`` is the number of lines read so far and ``count`` the number of
+    the last non-blank one, so once the file is drained ``count`` is its line
+    count without trailing blank lines.
     """
 
     def __init__(self, f):
@@ -208,32 +208,34 @@ class _Lines:
         self.lineno = 0
         self.count = 0
 
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> str:
-        line = next(self._f)
-        self.lineno += 1
-        if line != "\n":
-            self.count = self.lineno
-        return line[:-1] if line[-1] == "\n" else line
+    def take(self, k: int) -> list[str]:
+        """The next ``k`` lines, fewer at the end of the file, each ending in a newline."""
+        lines = list(itertools.islice(self._f, k))
+        for back, line in enumerate(reversed(lines)):
+            if line != "\n":
+                self.count = self.lineno + len(lines) - back
+                break
+        self.lineno += len(lines)
+        if lines and lines[-1][-1] != "\n":  # the file's last line
+            lines[-1] += "\n"
+        return lines
 
     def drain(self) -> None:
-        for _ in self:
+        while self.take(_GROUP_RECORDS):
             pass
 
 
-# Records bulk-parsed at once: the text held while loading is bounded by this
+# Records parsed at once: the text held while loading is bounded by this
 # group, not by the file.
-_GROUP_RECORDS = 256
+_GROUP_RECORDS = 64
 
 
 def load_student_set(path: str | Path) -> StudentSet:
     """Parse an SKD1 file. Raises FormatError naming the offending line.
 
-    The file is read line by line and its values are parsed a group of
-    records at a time into the set's arrays. It is read to the end before any
-    error is raised, so a malformed header comes first, then a wrong line
+    The file is read a group of records at a time and each group's values
+    are parsed in bulk into the set's arrays. It is read to the end before
+    any error is raised, so a malformed header comes first, then a wrong line
     count, then the first bad line, then set-level violations.
     """
     try:
@@ -246,8 +248,87 @@ def load_student_set(path: str | Path) -> StudentSet:
         raise
 
 
+def _bulk_group(group: list[str], prefixes: list[str], N: int, D: int, d_in: int):
+    """A group's ``(ids, labels, flags, features, inputs)`` from list operations
+    and one ``np.loadtxt`` call per row kind, or None if any check fails.
+
+    ``prefixes`` holds the ``"{j},"`` that starts each input line. Over plain
+    decimal literals (the only characters let through) numpy's parser and
+    ``float()`` accept the same fields and round alike.
+    """
+    feature_lines = group[::N + 1]
+    input_lines = group[:]
+    del input_lines[::N + 1]
+    if (set(map(str.count, feature_lines, itertools.repeat(","))) != {2 + D}
+            or set(map(str.count, input_lines, itertools.repeat(","))) != {d_in}
+            or not all(map(str.startswith, input_lines, prefixes))):
+        return None
+    rids, labels, flags, rests = zip(*(line.split(",", 3) for line in feature_lines))
+    input_rests = [line[len(p):] for line, p in zip(input_lines, prefixes)]
+    if (not _FLAG_VALUE.keys() >= set(flags)
+            or "\n" in rests or "\n" in input_rests  # np.loadtxt skips a blank row
+            or "".join(itertools.chain(rests, input_rests)).encode().translate(
+                None, _DECIMAL_CHARS)):
+        return None
+    try:
+        ids, labels = list(map(int, rids)), list(map(int, labels))
+        features = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
+        inputs = np.loadtxt(input_rests, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    k = len(feature_lines)
+    if (features.shape != (k, D) or inputs.shape != (k * N, d_in)
+            or not (np.isfinite(features).all() and np.isfinite(inputs).all())):
+        return None
+    return ids, labels, [_FLAG_VALUE[flag] for flag in flags], features, inputs
+
+
+def _scan_group(group: list[str], first: int, N: int, D: int, d_in: int):
+    """``_bulk_group``'s result line by line, for a group that failed it.
+
+    Raises FormatError at the group's first bad line; ``group``'s first line
+    is file line ``first``. Fields that ``float()`` accepts outside the plain
+    decimal alphabet (``" 0.5"``, ``"1_0"``) load through here.
+    """
+    group = [line[:-1] for line in group]
+    ids: list[int] = []
+    labels: list[int] = []
+    flags: list[int] = []
+    for lineno, line in enumerate(group, start=first):
+        j = (lineno - first) % (N + 1)  # 0 on a record's feature line, else the version
+        try:
+            if j == 0:
+                if line.count(",") != 2 + D:
+                    raise FormatError(f"dimension mismatch: {line.count(',') - 2} feature "
+                                      f"values, expected {D}", line=lineno)
+                rid, label, flag, _ = line.split(",", 3)
+                try:
+                    ids.append(int(rid))
+                    labels.append(int(label))
+                except ValueError:
+                    raise FormatError("non-integer id or label", line=lineno) from None
+                if flag not in _FLAG_VALUE:
+                    raise FormatError(f"bad outlier flag {flag!r} (expected 0, 1 or -)",
+                                      line=lineno)
+                flags.append(_FLAG_VALUE[flag])
+            else:
+                if line.count(",") != d_in:
+                    raise FormatError(f"dimension mismatch: {line.count(',')} input "
+                                      f"values, expected {d_in}", line=lineno)
+                version = line.split(",", 1)[0]
+                if version != str(j):
+                    raise FormatError(f"degraded version index {version!r}, expected {j}",
+                                      line=lineno)
+        except FormatError:
+            # a bad value on an earlier line comes first
+            _exact_values(group[:lineno - first], N, first)
+            raise
+    values = np.array(_exact_values(group, N, first)).reshape(len(ids), D + N * d_in)
+    return ids, labels, flags, values[:, :D], values[:, D:]
+
+
 def _parse(lines: _Lines, st: os.stat_result) -> StudentSet:
-    header = next(lines, "").split()
+    header = (lines.take(1) or [""])[0].split()
     try:
         if len(header) != 6 or header[0] != "SKD1":
             raise FormatError("malformed header (expected 'SKD1 n C D d_in N')", line=1)
@@ -266,74 +347,31 @@ def _parse(lines: _Lines, st: os.stat_result) -> StudentSet:
     # A well-formed file has a comma per value, so a header that declares
     # more values than a regular file has bytes fails the line count or a
     # dimension check; no arrays are allocated for it.
-    width = D + N * d_in
-    if n * width <= st.st_size or not stat.S_ISREG(st.st_mode):
+    if n * (D + N * d_in) <= st.st_size or not stat.S_ISREG(st.st_mode):
         features, inputs = np.empty((n, D)), np.empty((n, N, d_in))
     else:
         features = inputs = None
     ids: list[int] = []
     labels: list[int] = []
     flags: list[int] = []
+    prefixes = [f"{j}," for j in range(1, N + 1)] * _GROUP_RECORDS
     error = None
     try:
         for lo in range(0, n, _GROUP_RECORDS):
             hi = min(n, lo + _GROUP_RECORDS)
             first = lines.lineno + 1
-            group: list[str] = []
-            fields: list[str] = []  # the value fields of each line, as text
-            try:
-                for line in itertools.islice(lines, (hi - lo) * (N + 1)):
-                    group.append(line)
-                    lineno = lines.lineno
-                    j = (lineno - 2) % (N + 1)  # 0 on a record's feature line, else the version
-                    if j == 0:
-                        if line.count(",") != 2 + D:
-                            raise FormatError(f"dimension mismatch: {line.count(',') - 2} feature "
-                                              f"values, expected {D}", line=lineno)
-                        rid, label, flag, rest = line.split(",", 3)
-                        try:
-                            ids.append(int(rid))
-                            labels.append(int(label))
-                        except ValueError:
-                            raise FormatError("non-integer id or label", line=lineno) from None
-                        if flag not in _FLAG_VALUE:
-                            raise FormatError(f"bad outlier flag {flag!r} (expected 0, 1 or -)",
-                                              line=lineno)
-                        flags.append(_FLAG_VALUE[flag])
-                    else:
-                        if line.count(",") != d_in:
-                            raise FormatError(f"dimension mismatch: {line.count(',')} input "
-                                              f"values, expected {d_in}", line=lineno)
-                        version, rest = line.split(",", 1)
-                        if version != str(j):
-                            raise FormatError(f"degraded version index {version!r}, expected {j}",
-                                              line=lineno)
-                    fields.append(rest)
-            except FormatError:
-                _exact_values(group[:-1], N, first)  # a bad value on an earlier line comes first
-                raise
+            group = lines.take((hi - lo) * (N + 1))
             if len(group) < (hi - lo) * (N + 1):
                 break  # the file ended early: the line count check below fails
-
-            # One bulk parse per group. Over plain decimal literals (the only
-            # characters below) numpy's parser and float() accept the same
-            # fields and round alike; any other text, a short parse or a
-            # non-finite value takes the exact path, which also names the
-            # offending line.
-            body = ",".join(fields)
-            del fields  # body holds the same text; keep one copy while it is parsed
-            values = None
-            if not body.translate(_DECIMAL_CHARS):
-                try:
-                    values = np.fromstring(body, sep=",")
-                except ValueError:
-                    pass
-            if values is None or values.size != (hi - lo) * width or not np.isfinite(values).all():
-                values = np.array(_exact_values(group, N, first))
+            group_ids, group_labels, group_flags, group_features, group_inputs = (
+                _bulk_group(group, prefixes[:(hi - lo) * N], N, D, d_in)
+                or _scan_group(group, first, N, D, d_in))
+            ids += group_ids
+            labels += group_labels
+            flags += group_flags
             if features is not None:
-                values = values.reshape(hi - lo, width)
-                features[lo:hi] = values[:, :D]
-                inputs[lo:hi] = values[:, D:].reshape(hi - lo, N, d_in)
+                features[lo:hi] = group_features
+                inputs[lo:hi] = group_inputs.reshape(hi - lo, N, d_in)
     except FormatError as exc:
         error = exc
     lines.drain()

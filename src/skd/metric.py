@@ -57,12 +57,22 @@ def measure_matrix(A: np.ndarray, B: np.ndarray, mode: str = "cossim") -> np.nda
     computes ``X @ X.T`` on one buffer as a symmetric product, whose last bits
     differ from the general product's. Raises ValueError on a zero row.
     """
+    _check_measure(mode, A, B)
+    UA = unit_rows(A)
+    return _unit_measure(UA, UA.copy() if B is A else unit_rows(B), mode)
+
+
+def _check_measure(mode: str, A: np.ndarray, B: np.ndarray) -> None:
+    """ValueError on an unknown mode, then on a zero row of A or B."""
     if mode not in MEASURES:
         raise ValueError(f"unknown measure mode {mode!r}; expected one of {MEASURES}")
     if not (np.any(A, axis=1).all() and np.any(B, axis=1).all()):
         raise ValueError("zero-norm vector has no direction")
-    UA = unit_rows(A)
-    cos = UA @ (UA.copy() if B is A else unit_rows(B)).T
+
+
+def _unit_measure(UA: np.ndarray, UB: np.ndarray, mode: str) -> np.ndarray:
+    """``measure_matrix`` of rows already normalized by ``unit_rows``, unchecked."""
+    cos = UA @ UB.T
     np.clip(cos, -1.0, 1.0, out=cos)
     if mode == "cossim":
         return np.maximum(cos, 0.0, out=cos)
@@ -72,13 +82,20 @@ def measure_matrix(A: np.ndarray, B: np.ndarray, mode: str = "cossim") -> np.nda
 def class_centroids(sset: StudentSet) -> np.ndarray:
     """Exact arithmetic mean of teacher features per class, shape (C, D).
 
-    Summation is sequential in record-id order (``np.add.at`` is unbuffered)
-    so results are reproducible. Raises ValueError if any class is empty.
+    Summation is sequential in record-id order, starting from 0.0, so results
+    are reproducible. Raises ValueError if any class is empty.
     """
-    sums = np.zeros((sset.C, sset.D), dtype=np.float64)
-    np.add.at(sums, sset.labels - 1, sset.features)
     counts = np.bincount(sset.labels - 1, minlength=sset.C)
     if np.any(counts == 0):
         empty = int(np.argmin(counts)) + 1
         raise ValueError(f"class {empty} is empty; centroid undefined")
+    sums = np.zeros((sset.C, sset.D), dtype=np.float64)
+    if sset.D == 1:  # numpy reduces a lone column pairwise; np.add.at adds in order
+        np.add.at(sums[:, 0], sset.labels - 1, sset.features[:, 0])
+    else:
+        # Reduced across its columns, each class's rows are added one after
+        # another into the 0.0 of ``initial``, as np.add.at would add them.
+        order = np.argsort(sset.labels, kind="stable")
+        for c, rows in enumerate(np.split(order, np.cumsum(counts)[:-1])):
+            np.add.reduce(sset.features[rows], axis=0, out=sums[c], initial=0.0)
     return sums / counts[:, None]

@@ -243,8 +243,7 @@ def lambda_sweep(graph: SelectionGraph, lambdas: list[float] | None = None) -> S
 
 def save_mask(path: str | Path, mask: SelectionMask, lam: float) -> None:
     lines = [f"SKDMASK1 {len(mask)} {float(lam)!r}"]
-    for i, a in enumerate(mask.alpha):
-        lines.append(f"{i},{int(a)}")
+    lines += [f"{i},{a}" for i, a in enumerate(mask.alpha.tolist())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import StudentSet
-from .metric import measure_matrix
+from .metric import _check_measure, _unit_measure, unit_rows
 
 __all__ = [
     "SelectionGraph",
@@ -177,27 +177,36 @@ def build_selection_graph(
     F = sset.features
     labels = sset.labels
     n = len(sset)
+    _check_measure(measure, F, centroids)
 
-    face_cent = measure_matrix(F, centroids, measure)  # (n, C)
-    own = face_cent[np.arange(n), labels - 1]
-    unary = face_cent.sum(axis=1) - own
+    # Every face row is normalized once. The unary costs come from one
+    # product over all rows: a row block of it can take another BLAS kernel
+    # and round differently. The normalized rows are then held per class and
+    # each class's are dropped once its block is made, so they never sit
+    # beside the finished blocks.
+    U = unit_rows(F)
+    face_cent = _unit_measure(U, unit_rows(centroids), measure)  # (n, C)
+    unary = face_cent.sum(axis=1) - face_cent[np.arange(n), labels - 1]
+    class_ids = [np.flatnonzero(labels == c) for c in range(1, sset.C + 1)]
+    class_rows = [U[ids] for ids in class_ids]
+    del U, face_cent
 
     # Each class's block is read from its Gram matrix through one boolean
     # mask of the upper triangle, row by row, so the only temporaries beside
     # the block are the Gram and the mask; both are freed before the next.
     blocks = []
-    for c in range(1, sset.C + 1):
-        ids = np.flatnonzero(labels == c)
+    for c, ids in enumerate(class_ids):
+        faces, class_rows[c] = class_rows[c], None
         if len(ids):
-            faces = F[ids]
-            gram = measure_matrix(faces, faces, measure)
+            gram = _unit_measure(faces, faces.copy(), measure)
             local = np.arange(len(ids), dtype=np.min_scalar_type(len(ids)))
             upper = local[:, None] < local
             blocks.append((ids, np.broadcast_to(local[:, None], upper.shape)[upper],
                            np.broadcast_to(local, upper.shape)[upper], gram[upper]))
-            del faces, gram, upper
+            del gram, upper
+        del faces
 
-    graph = SelectionGraph(n, sset.C, labels, unary.astype(np.float64, copy=False), blocks)
+    graph = SelectionGraph(n, sset.C, labels, unary, blocks)
     graph.validate()
     return graph
 

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skd.dataset import (
@@ -277,6 +278,16 @@ VALID_SKD1 = [
 ]
 
 
+# SKD1 value fields of the plain decimal alphabet: any string of it, number
+# literals, and shortest round-trip reprs.
+_decimal_fields = st.one_of(
+    st.text(alphabet="0123456789.eE+-", max_size=12),
+    st.from_regex(r"[+-]?([0-9]{1,20}\.?[0-9]{0,20}|\.[0-9]{1,20})([eE][+-]?[0-9]{1,3})?",
+                  fullmatch=True),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
 def _field(lineno: int, index: int, value: str):
     """Edit that replaces one comma-separated field of a 1-based line."""
     def edit(lines):
@@ -403,7 +414,14 @@ class TestFormatErrors:
         save_student_set(s, tmp_path / "again.skd")
         assert (tmp_path / "again.skd").read_text().splitlines()[10] == "3,2,0,1.5,0.0,5e-324"
 
-    def test_float_fields_accept_what_float_accepts(self, tmp_path):
+    @settings(max_examples=400, deadline=None)
+    @given(values=st.lists(_decimal_fields, min_size=3, max_size=3))
+    @example(values=["1e999", "0.5", "-"])
+    @example(values=["+.5", "7.", "-2E-1"])
+    @example(values=["", "1e", "."])
+    @example(values=["0.0", "1E400", ""])
+    def test_float_fields_accept_what_float_accepts(self, tmp_path_factory, values):
+        tmp_path = tmp_path_factory.mktemp("fields")
         lines = list(VALID_SKD1)
         for edit in (_field(2, 3, " 0.5"), _field(2, 4, "1_0"), _field(3, 1, "+.5"),
                      _field(3, 2, "-2E-1\r"), _field(4, 1, "7.")):
@@ -414,6 +432,34 @@ class TestFormatErrors:
         save_student_set(s, tmp_path / "again.skd")
         written = (tmp_path / "again.skd").read_text().splitlines()
         assert written[1:4] == ["0,1,0,0.5,10.0,1.0", "1,0.5,-0.2", "2,7.0,0.4"]
+
+        # Fields of the decimal alphabet in one feature value (line 8) and
+        # both values of the input line after it: the file loads exactly
+        # what float() accepts, bit for bit. Otherwise it fails at the first
+        # line with a field float() rejects, or else reads as non-finite.
+        lines = list(VALID_SKD1)
+        for edit in (_field(8, 4, values[0]), _field(9, 1, values[1]), _field(9, 2, values[2])):
+            edit(lines)
+        p.write_text("\n".join(lines) + "\n")
+        expected = None
+        for lineno, fields in ((8, values[:1]), (9, values[1:])):
+            try:
+                row = [float(v) for v in fields]
+            except ValueError as exc:
+                expected = (f"unparseable float field ({exc})", lineno)
+                break
+            if not all(map(math.isfinite, row)):
+                expected = ("non-finite value", lineno)
+                break
+        if expected is None:
+            s = load_student_set(p)
+            got = [s.features[2, 1], *s.inputs[2, 0]]
+            assert np.array(got).tobytes() == np.array([float(v) for v in values]).tobytes()
+        else:
+            with pytest.raises(FormatError) as exc:
+                load_student_set(p)
+            assert (str(exc.value), exc.value.line) == (f"line {expected[1]}: {expected[0]}",
+                                                         expected[1])
 
     @pytest.mark.parametrize(
         "edits,message,line",
@@ -433,7 +479,7 @@ class TestFormatErrors:
 
 
 class TestParseGroups:
-    """A file of 600 records spans three bulk-parse groups (256, 256 and 88 records)."""
+    """A file of 600 records spans several bulk-parse groups of _GROUP_RECORDS records."""
 
     N = 2  # record r's feature line is 2 + 3r; its input j is the line after that plus j
 
@@ -532,3 +578,45 @@ class TestParseGroups:
             bytes(data).decode("ascii")
         assert str(exc.value) == str(whole.value)
         assert "position 50000" in str(exc.value)
+
+    @pytest.mark.parametrize("n", [_GROUP_RECORDS - 1, _GROUP_RECORDS, _GROUP_RECORDS + 1,
+                                   2 * _GROUP_RECORDS + 1])
+    def test_group_boundaries(self, tmp_path, n):
+        s = synthesize(SynthConfig(C=1, per_class_count=n, D=3, d_in=2, N=self.N,
+                                   noise_scale=0.2, seed=n))
+        p = tmp_path / "s.skd"
+        save_student_set(s, p)
+        lines = p.read_text().split("\n")[:-1]
+        p.write_bytes(("\r\n".join(lines) + "\r\n\r\n\n").encode("ascii"))
+        loaded = load_student_set(p)
+        for col in ("labels", "outlier", "features", "inputs"):
+            assert getattr(loaded, col).tobytes() == getattr(s, col).tobytes()
+        # A bad value in the first record of the second group, if there is
+        # one, and in the last record.
+        for record in sorted({min(_GROUP_RECORDS, n - 1), n - 1}):
+            bad = list(lines)
+            line = self.line_of(record, 1)
+            _field(line, 2, "1e999")(bad)
+            assert self.load_error(p, bad, newline="\r\n") == (
+                line, f"line {line}: non-finite value")
+
+
+def test_load_peak_is_near_the_set_arrays(tmp_path):
+    # The benchmark's select_stress shape: 10 x 300 records of 128 feature and
+    # 4 x 8 input values. The loader holds one group's text beside the arrays
+    # it fills; it peaked at 1.23x the arrays' bytes with 64-record groups,
+    # and at 1.77x when it held 256 records' lines and one joined copy.
+    s = synthesize(SynthConfig(C=10, per_class_count=300, D=128, d_in=8, N=4,
+                               noise_scale=0.005, outlier_fraction=0.1, seed=7))
+    p = tmp_path / "s.skd"
+    save_student_set(s, p)
+    array_bytes = sum(getattr(s, col).nbytes for col in ("labels", "outlier", "features", "inputs"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_student_set(p)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sets_equal(s, loaded)
+    assert peak < 1.5 * array_bytes

@@ -126,6 +126,29 @@ def test_centroids_sum_sequentially_in_record_order():
     assert class_centroids(s).tobytes() == expected.tobytes()
 
 
+# Classes 1..C once each, plus extra records of the classes above ``singles``
+# (the rest keep a single record), shuffled so the classes interleave.
+# Signed zeros and magnitudes over 16 decades make any sum taken in another
+# order or from another start round differently.
+@settings(max_examples=200, deadline=None)
+@given(C=st.integers(1, 5), D=st.integers(1, 6), extra=st.integers(0, 80), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_centroids_equal_the_add_at_definition(C, D, extra, data, seed):
+    singles = data.draw(st.integers(0, C - 1))
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.concatenate([np.arange(1, C + 1),
+                                             rng.integers(singles + 1, C + 1, size=extra)]))
+    n = len(labels)
+    feats = rng.normal(size=(n, D)) * 10.0 ** rng.integers(-8, 8, size=(n, D))
+    zeros = rng.random((n, D)) < 0.2
+    feats[zeros] = np.copysign(0.0, rng.normal(size=zeros.sum()))
+    sums = np.zeros((C, D))
+    np.add.at(sums, labels - 1, feats)
+    expected = sums / np.bincount(labels - 1)[:, None]
+    s = StudentSet(labels, feats, np.zeros((n, 1, 1)), C=C)
+    assert class_centroids(s).tobytes() == expected.tobytes()
+
+
 def test_empty_class_errors():
     s = build_set([[[1.0, 0.0]]])
     s.C = 2  # declare a second class nobody has

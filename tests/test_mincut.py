@@ -439,6 +439,11 @@ class TestMaskFiles:
         assert lam == -2.0
         assert p.read_text().splitlines()[0] == "SKDMASK1 5 -2.0"
 
+    def test_bytes(self, tmp_path):
+        p = tmp_path / "m.mask"
+        save_mask(p, SelectionMask(np.array([1, 0, 1], dtype=np.int8)), -0.25)
+        assert p.read_bytes() == b"SKDMASK1 3 -0.25\n0,1\n1,0\n2,1\n"
+
     def test_byte_identical_saves(self, tmp_path):
         mask = SelectionMask(np.array([0, 1], dtype=np.int8))
         save_mask(tmp_path / "a", mask, -0.5)
