@@ -5,13 +5,14 @@
 
 Runs ``bench/run.py --workload W --seed S --seconds T --trace 0`` in each
 checkout in turn, PARENT first in odd pairs and CHANGE first in even ones,
-so a slow phase of a shared host falls on both sides. Prints each pair's
-change/parent ratio per end-to-end metric as it finishes, then each side's
-median and quartiles, the ratio of the medians, how many pairs the change
-won, and whether the change's gain in the median is larger than the
-parent's interquartile range. A metric's better direction comes from this
-repository's ``BENCHMARK.json``. Each checkout's ``bench/`` is run as it is,
-never edited; a run that is not ``correct`` stops the script.
+so a slow phase of a shared host falls on both sides. T and each metric's
+better direction come from this repository's ``BENCHMARK.json``, so every
+run is as long as the benchmark's own. Prints each pair's change/parent
+ratio per end-to-end metric as it finishes, then each side's median and
+quartiles, the ratio of the medians, how many pairs the change won, and
+whether the change's gain in the median is larger than the parent's
+interquartile range. Each checkout's ``bench/`` is run as it is, never
+edited; a run that is not ``correct`` stops the script.
 """
 
 from __future__ import annotations
@@ -55,11 +56,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=50)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     lower_is_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
 
     sides = {"parent": args.parent, "change": args.change}
@@ -67,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
-            runs[side].append(run_bench(sides[side], args.workload, args.seed, args.seconds))
+            runs[side].append(run_bench(sides[side], args.workload, args.seed, seconds))
         parent, change = runs["parent"][-1], runs["change"][-1]
         ratios = "  ".join(f"{name} {change[name] / parent[name]:.3f}" for name in parent)
         print(f"pair {pair} ({order[0]} first): change/parent {ratios}", flush=True)

@@ -255,6 +255,10 @@ def _bulk_group(group: list[str], prefixes: list[str], N: int, D: int, d_in: int
     ``prefixes`` holds the ``"{j},"`` that starts each input line. Over plain
     decimal literals (the only characters let through) numpy's parser and
     ``float()`` accept the same fields and round alike.
+
+    Its checks are ``_scan_group``'s line rules as list operations, and the
+    two must stay equivalent: a group this accepts must scan to the same
+    arrays, and a rule added to one belongs in the other.
     """
     feature_lines = group[::N + 1]
     input_lines = group[:]
@@ -288,7 +292,8 @@ def _scan_group(group: list[str], first: int, N: int, D: int, d_in: int):
 
     Raises FormatError at the group's first bad line; ``group``'s first line
     is file line ``first``. Fields that ``float()`` accepts outside the plain
-    decimal alphabet (``" 0.5"``, ``"1_0"``) load through here.
+    decimal alphabet (``" 0.5"``, ``"1_0"``) load through here. Its line
+    rules must stay equivalent to ``_bulk_group``'s list checks.
     """
     group = [line[:-1] for line in group]
     ids: list[int] = []

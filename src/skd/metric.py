@@ -13,7 +13,8 @@ import numpy as np
 
 from .dataset import StudentSet
 
-__all__ = ["MEASURES", "unit_rows", "pairwise_measure", "measure_matrix", "class_centroids"]
+__all__ = ["MEASURES", "unit_rows", "pairwise_measure", "measure_matrix", "class_measures",
+           "class_centroids"]
 
 MEASURES = ("cossim", "cosdist")
 
@@ -62,6 +63,32 @@ def measure_matrix(A: np.ndarray, B: np.ndarray, mode: str = "cossim") -> np.nda
     return _unit_measure(UA, UA.copy() if B is A else unit_rows(B), mode)
 
 
+def class_measures(F: np.ndarray, centroids: np.ndarray, class_ids: list, mode: str = "cossim"):
+    """``measure_matrix(F, centroids)`` and a generator of each class's
+    ``measure_matrix(F[ids], F[ids])``, ``ids`` taken from ``class_ids`` in turn.
+
+    Both are bit-equal to those calls, but every row of F is checked and
+    normalized once. The centroid measure comes from one product over all
+    rows, since a row block of it can take another BLAS kernel and round
+    differently. The normalized rows are then held per class, and each
+    class's are dropped once the generator has yielded its measure, so they
+    never sit beside what the caller builds from the earlier ones. Raises
+    ValueError on an unknown mode or a zero row, before anything is computed.
+    """
+    _check_measure(mode, F, centroids)
+    U = unit_rows(F)
+    face_cent = _unit_measure(U, unit_rows(centroids), mode)
+    class_rows = [U[ids] for ids in class_ids]
+    del U
+
+    def grams():
+        for c in range(len(class_rows)):
+            rows, class_rows[c] = class_rows[c], None
+            yield _unit_measure(rows, rows.copy(), mode)
+
+    return face_cent, grams()
+
+
 def _check_measure(mode: str, A: np.ndarray, B: np.ndarray) -> None:
     """ValueError on an unknown mode, then on a zero row of A or B."""
     if mode not in MEASURES:
@@ -89,13 +116,10 @@ def class_centroids(sset: StudentSet) -> np.ndarray:
     if np.any(counts == 0):
         empty = int(np.argmin(counts)) + 1
         raise ValueError(f"class {empty} is empty; centroid undefined")
-    sums = np.zeros((sset.C, sset.D), dtype=np.float64)
-    if sset.D == 1:  # numpy reduces a lone column pairwise; np.add.at adds in order
-        np.add.at(sums[:, 0], sset.labels - 1, sset.features[:, 0])
-    else:
-        # Reduced across its columns, each class's rows are added one after
-        # another into the 0.0 of ``initial``, as np.add.at would add them.
-        order = np.argsort(sset.labels, kind="stable")
-        for c, rows in enumerate(np.split(order, np.cumsum(counts)[:-1])):
-            np.add.reduce(sset.features[rows], axis=0, out=sums[c], initial=0.0)
+    sums = np.empty((sset.C, sset.D), dtype=np.float64)
+    # A running sum adds each class's rows one after another, as np.add.at
+    # into zeros would; adding 0.0 turns a -0.0 sum into the +0.0 it gives.
+    order = np.argsort(sset.labels, kind="stable")
+    for c, rows in enumerate(np.split(order, np.cumsum(counts)[:-1])):
+        sums[c] = np.cumsum(sset.features[rows], axis=0)[-1] + 0.0
     return sums / counts[:, None]

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import StudentSet
-from .metric import _check_measure, _unit_measure, unit_rows
+from .metric import class_measures
 
 __all__ = [
     "SelectionGraph",
@@ -174,37 +174,25 @@ def build_selection_graph(
     """
     if len(centroids) != sset.C:
         raise ValueError(f"centroids cover {len(centroids)} classes, set has {sset.C}")
-    F = sset.features
     labels = sset.labels
     n = len(sset)
-    _check_measure(measure, F, centroids)
-
-    # Every face row is normalized once. The unary costs come from one
-    # product over all rows: a row block of it can take another BLAS kernel
-    # and round differently. The normalized rows are then held per class and
-    # each class's are dropped once its block is made, so they never sit
-    # beside the finished blocks.
-    U = unit_rows(F)
-    face_cent = _unit_measure(U, unit_rows(centroids), measure)  # (n, C)
-    unary = face_cent.sum(axis=1) - face_cent[np.arange(n), labels - 1]
     class_ids = [np.flatnonzero(labels == c) for c in range(1, sset.C + 1)]
-    class_rows = [U[ids] for ids in class_ids]
-    del U, face_cent
+    face_cent, grams = class_measures(sset.features, centroids, class_ids, measure)  # (n, C)
+    unary = face_cent.sum(axis=1) - face_cent[np.arange(n), labels - 1]
+    del face_cent
 
     # Each class's block is read from its Gram matrix through one boolean
     # mask of the upper triangle, row by row, so the only temporaries beside
     # the block are the Gram and the mask; both are freed before the next.
     blocks = []
-    for c, ids in enumerate(class_ids):
-        faces, class_rows[c] = class_rows[c], None
+    for ids, gram in zip(class_ids, grams):
         if len(ids):
-            gram = _unit_measure(faces, faces.copy(), measure)
             local = np.arange(len(ids), dtype=np.min_scalar_type(len(ids)))
             upper = local[:, None] < local
             blocks.append((ids, np.broadcast_to(local[:, None], upper.shape)[upper],
                            np.broadcast_to(local, upper.shape)[upper], gram[upper]))
-            del gram, upper
-        del faces
+            del upper
+        del gram
 
     graph = SelectionGraph(n, sset.C, labels, unary, blocks)
     graph.validate()

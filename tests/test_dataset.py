@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from skd.dataset import (
     _GROUP_RECORDS,
+    _bulk_group,
+    _scan_group,
     FormatError,
     StudentSet,
     SynthConfig,
@@ -476,6 +478,31 @@ class TestFormatErrors:
             load_student_set(p)
         assert str(exc.value) == f"line {line}: {message}"
         assert exc.value.line == line
+
+    @pytest.mark.parametrize(
+        "edits", [case[1] for case in FORMAT_ERROR_CASES],
+        ids=[case[0] for case in FORMAT_ERROR_CASES],
+    )
+    def test_bulk_and_scan_agree(self, edits):
+        # The grouped parse and the per-line scan write the same line rules
+        # twice: on every case's body, the bulk path must refuse what the scan
+        # rejects and load the scan's arrays otherwise.
+        lines = list(VALID_SKD1)
+        for edit in edits:
+            edit(lines)
+        group = [line + "\n" for line in lines[1:]]
+        if len(group) != 12:  # the line count check fails first
+            return
+        N, D, d_in = 2, 3, 2
+        bulk = _bulk_group(group, ["1,", "2,"] * 4, N, D, d_in)
+        try:
+            scan = _scan_group(group, 2, N, D, d_in)
+        except FormatError:
+            assert bulk is None
+            return
+        assert bulk is not None
+        assert bulk[:3] == scan[:3]
+        assert [a.tobytes() for a in bulk[3:]] == [a.tobytes() for a in scan[3:]]
 
 
 class TestParseGroups:
