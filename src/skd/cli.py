@@ -47,7 +47,12 @@ from .mincut import (
     save_mask,
     write_sweep_csv,
 )
-from .selgraph import SelectionGraph, build_selection_graph, dump_graph
+from .selgraph import (
+    SelectionGraph,
+    build_selection_graph,
+    dump_graph,
+    streamed_selection_graph,
+)
 from .student import StudentArch, init_student, load_checkpoint, save_checkpoint, forward_batch
 
 EXIT_OK = 0
@@ -108,7 +113,8 @@ def _arch_from_args(sset, args) -> StudentArch:
 
 
 def _selection_graph(args) -> SelectionGraph:
-    """The selection graph of ``args.set`` under ``args.measure``.
+    """The selection graph of ``args.set`` under ``args.measure``, every class
+    block built, for the commands that read the graph more than once.
 
     The set is freed on return, so a solve holds only the graph's class blocks.
     """
@@ -150,7 +156,13 @@ def cmd_graph(args) -> int:
 
 
 def cmd_select(args) -> int:
-    graph = _selection_graph(args)
+    # One solve reads each class block once, so the blocks are streamed: each
+    # is made, solved and freed in turn, beside the set's features. The
+    # inputs and outlier flags, which a select never reads, go first.
+    sset = load_student_set(_require_file(args.set))
+    features, labels, C, centroids = sset.features, sset.labels, sset.C, class_centroids(sset)
+    del sset
+    graph = streamed_selection_graph(features, labels, C, centroids, args.measure)
     mask, e = minimize(graph, args.lam)
     save_mask(args.out, mask, args.lam)
     _write_echo("select", args, args.out)

@@ -59,32 +59,30 @@ def measure_matrix(A: np.ndarray, B: np.ndarray, mode: str = "cossim") -> np.nda
     differ from the general product's. Raises ValueError on a zero row.
     """
     _check_measure(mode, A, B)
-    UA = unit_rows(A)
-    return _unit_measure(UA, UA.copy() if B is A else unit_rows(B), mode)
+    if B is A:
+        return _self_measure(unit_rows(A), mode)
+    return _unit_measure(unit_rows(A), unit_rows(B), mode)
 
 
 def class_measures(F: np.ndarray, centroids: np.ndarray, class_ids: list, mode: str = "cossim"):
     """``measure_matrix(F, centroids)`` and a generator of each class's
     ``measure_matrix(F[ids], F[ids])``, ``ids`` taken from ``class_ids`` in turn.
 
-    Both are bit-equal to those calls, but every row of F is checked and
-    normalized once. The centroid measure comes from one product over all
-    rows, since a row block of it can take another BLAS kernel and round
-    differently. The normalized rows are then held per class, and each
-    class's are dropped once the generator has yielded its measure, so they
-    never sit beside what the caller builds from the earlier ones. Raises
-    ValueError on an unknown mode or a zero row, before anything is computed.
+    Both are bit-equal to those calls, and every row of F is checked once.
+    The centroid measure comes from one product over all rows, since a row
+    block of it can take another BLAS kernel and round differently. Its
+    normalized rows are freed on return; the generator normalizes each
+    class's rows again as it reaches the class (``unit_rows`` works row by
+    row, so the bits are the same), so beside F it holds one class's rows at
+    a time. Raises ValueError on an unknown mode or a zero row, before
+    anything is computed.
     """
     _check_measure(mode, F, centroids)
-    U = unit_rows(F)
-    face_cent = _unit_measure(U, unit_rows(centroids), mode)
-    class_rows = [U[ids] for ids in class_ids]
-    del U
+    face_cent = _unit_measure(unit_rows(F), unit_rows(centroids), mode)
 
     def grams():
-        for c in range(len(class_rows)):
-            rows, class_rows[c] = class_rows[c], None
-            yield _unit_measure(rows, rows.copy(), mode)
+        for ids in class_ids:
+            yield _self_measure(unit_rows(F[ids]), mode)
 
     return face_cent, grams()
 
@@ -95,6 +93,11 @@ def _check_measure(mode: str, A: np.ndarray, B: np.ndarray) -> None:
         raise ValueError(f"unknown measure mode {mode!r}; expected one of {MEASURES}")
     if not (np.any(A, axis=1).all() and np.any(B, axis=1).all()):
         raise ValueError("zero-norm vector has no direction")
+
+
+def _self_measure(U: np.ndarray, mode: str) -> np.ndarray:
+    """``_unit_measure(U, U)`` as a general product, on a copy of U."""
+    return _unit_measure(U, U.copy(), mode)
 
 
 def _unit_measure(UA: np.ndarray, UB: np.ndarray, mode: str) -> np.ndarray:

@@ -33,7 +33,15 @@ import numpy as np
 
 from .dataset import FormatError
 from .maxflow import Dinic
-from .selgraph import SelectionGraph, SelectionMask, _check_lambda, energy, pairwise_reward
+from .selgraph import (
+    SelectionGraph,
+    SelectionMask,
+    _block_reward,
+    _check_lambda,
+    _energy,
+    energy,
+    pairwise_reward,
+)
 
 __all__ = [
     "SweepEntry",
@@ -111,10 +119,9 @@ def default_lambda_grid() -> list[float]:
     return pow2_lambda_grid(-8192.0, 0.0)
 
 
-def _class_edges(
-    graph: SelectionGraph,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """``(ids, a, b, w)`` per nonempty class, for classes 1..C in order: the graph's blocks."""
+def _class_edges(graph: SelectionGraph):
+    """``(ids, a, b, w)`` per nonempty class, for classes 1..C in order: the graph's
+    blocks, a list or a one-shot iterator."""
     return graph.blocks
 
 
@@ -162,14 +169,20 @@ def minimize(graph: SelectionGraph, lam: float) -> tuple[SelectionMask, float]:
 
     Solves each class independently (valid: no pairwise term crosses classes)
     and concatenates. Deterministic; returns the canonical minimal optimum.
+    One pass over the blocks checks each (as ``SelectionGraph.validate``
+    does), solves its cut and adds its pairwise reward, so the energy is
+    :func:`energy`'s, bit for bit. ``graph.blocks`` may therefore be a
+    one-shot iterator that makes each class's block when it is reached (see
+    ``streamed_selection_graph``); such a graph is good for one solve only.
     """
     _check_lambda(lam)
-    graph.validate()
     alpha = np.zeros(graph.n_faces, dtype=np.int8)
-    for ids, a, b, w in _class_edges(graph):
-        alpha[ids] = solve_class_cut(graph.unary[ids], a, b, w, lam)
-    mask = SelectionMask(alpha)
-    return mask, energy(graph, mask, lam)
+    reward = 0.0
+    for ids, a, b, w in graph.checked(_class_edges(graph)):
+        cut = solve_class_cut(graph.unary[ids], a, b, w, lam)
+        alpha[ids] = cut
+        reward += _block_reward(cut, a, b, w)
+    return SelectionMask(alpha), _energy(graph.unary, alpha, lam, reward)
 
 
 def _brute_force_class(

@@ -15,6 +15,7 @@ the pairwise term rewards selecting mutually similar same-class faces.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +28,8 @@ __all__ = [
     "SelectionGraph",
     "SelectionMask",
     "build_selection_graph",
+    "streamed_selection_graph",
+    "class_blocks",
     "energy",
     "pairwise_reward",
     "dump_graph",
@@ -70,15 +73,18 @@ class SelectionGraph:
     in order: ``ids`` are the class's global face ids (ascending), ``a < b``
     its edges' endpoints as local indices into ``ids``, of the smallest
     unsigned type that holds ``len(ids)``, and ``w`` their float64 weights.
-    It is a plain dataclass that callers may change after it is built, so
-    ``minimize`` validates it again on every solve.
+    It is a list, or, for a single ``minimize``, a one-shot iterator that
+    makes each block when the solve reaches it (``streamed_selection_graph``);
+    everything else reads a list. It is a plain dataclass that callers may
+    change after it is built, so ``minimize`` validates it again on every
+    solve, each block as it arrives.
     """
 
     n_faces: int
     n_classes: int
     labels: np.ndarray          # (n,) class index 1..C per face
     unary: np.ndarray           # (n,) folded inter-class cost U_i >= 0
-    blocks: list                # (ids, a, b, w) per nonempty class
+    blocks: list | Iterator     # (ids, a, b, w) per nonempty class
 
     @classmethod
     def from_edges(cls, n_faces: int, n_classes: int, labels, unary, edge_i, edge_j,
@@ -138,6 +144,16 @@ class SelectionGraph:
         return self.n_faces * (self.n_classes - 1)
 
     def validate(self) -> None:
+        for _ in self.checked(self.blocks):
+            pass
+
+    def checked(self, blocks):
+        """Yield ``blocks`` one at a time, each after it passes its checks.
+
+        The face checks run before the first block and the coverage and class
+        order check after the last, so one pass over a one-shot iterator of
+        blocks validates the graph as ``validate`` does a list of them.
+        """
         n = self.n_faces
         if len(self.labels) != n or len(self.unary) != n:
             raise ValueError(f"labels and unary costs need one entry per face ({n})")
@@ -146,7 +162,8 @@ class SelectionGraph:
         if not (np.all(np.isfinite(self.unary)) and np.all(self.unary >= 0.0)):
             raise ValueError("unary costs must be finite and nonnegative")
         faces, last = 0, 0
-        for ids, a, b, w in self.blocks:
+        for block in blocks:
+            ids, a, b, w = block
             if not len(a) == len(b) == len(w):
                 raise ValueError("a block's a, b and w must have one length")
             if not (np.all(np.isfinite(w)) and np.all(w >= 0.0)):
@@ -158,6 +175,7 @@ class SelectionGraph:
                     and self.labels[ids[0]] > last):
                 break
             faces, last = faces + len(ids), self.labels[ids[0]]
+            yield block
         else:
             if faces == n:
                 return
@@ -172,31 +190,49 @@ def build_selection_graph(
     Nonnegativity of all unary costs and edge weights (which makes the energy
     exactly minimizable for any lam <= 0) is asserted before returning.
     """
-    if len(centroids) != sset.C:
-        raise ValueError(f"centroids cover {len(centroids)} classes, set has {sset.C}")
-    labels = sset.labels
-    n = len(sset)
-    class_ids = [np.flatnonzero(labels == c) for c in range(1, sset.C + 1)]
-    face_cent, grams = class_measures(sset.features, centroids, class_ids, measure)  # (n, C)
-    unary = face_cent.sum(axis=1) - face_cent[np.arange(n), labels - 1]
-    del face_cent
+    graph = streamed_selection_graph(sset.features, sset.labels, sset.C, centroids, measure)
+    graph.blocks = list(graph.blocks)
+    graph.validate()
+    return graph
 
-    # Each class's block is read from its Gram matrix through one boolean
-    # mask of the upper triangle, row by row, so the only temporaries beside
-    # the block are the Gram and the mask; both are freed before the next.
-    blocks = []
-    for ids, gram in zip(class_ids, grams):
+
+def streamed_selection_graph(features: np.ndarray, labels: np.ndarray, n_classes: int,
+                             centroids: np.ndarray, measure: str = "cossim") -> SelectionGraph:
+    """The selection graph of faces with these features and labels 1..n_classes,
+    its ``blocks`` a one-shot iterator over :func:`class_blocks`.
+
+    The unary costs are computed here; each class's block is made only when
+    the iterator reaches it, so the graph is good for one pass (one
+    ``minimize``) and is validated by that pass.
+    """
+    if len(centroids) != n_classes:
+        raise ValueError(f"centroids cover {len(centroids)} classes, set has {n_classes}")
+    n = len(labels)
+    class_ids = [np.flatnonzero(labels == c) for c in range(1, n_classes + 1)]
+    face_cent, grams = class_measures(features, centroids, class_ids, measure)  # (n, C)
+    unary = face_cent.sum(axis=1) - face_cent[np.arange(n), labels - 1]
+    return SelectionGraph(n, n_classes, labels, unary, class_blocks(class_ids, grams))
+
+
+def class_blocks(class_ids: list, grams):
+    """``(ids, a, b, w)`` of each nonempty class in turn, read from its Gram matrix.
+
+    ``grams`` yields one Gram matrix per entry of ``class_ids``. A block is
+    read through one boolean mask of the upper triangle, row by row, and the
+    Gram matrix and the mask are freed before the block is yielded, so a
+    consumer that drops each block before taking the next holds one at a time.
+    """
+    grams = iter(grams)
+    for ids in class_ids:
+        gram = next(grams)  # not zip: its reused result tuple keeps the last Gram alive
         if len(ids):
             local = np.arange(len(ids), dtype=np.min_scalar_type(len(ids)))
             upper = local[:, None] < local
-            blocks.append((ids, np.broadcast_to(local[:, None], upper.shape)[upper],
-                           np.broadcast_to(local, upper.shape)[upper], gram[upper]))
-            del upper
-        del gram
-
-    graph = SelectionGraph(n, sset.C, labels, unary, blocks)
-    graph.validate()
-    return graph
+            a = np.broadcast_to(local[:, None], upper.shape)[upper]
+            b = np.broadcast_to(local, upper.shape)[upper]
+            w = gram[upper]
+            del gram, upper
+            yield ids, a, b, w
 
 
 def _check_lambda(lam: float) -> None:
@@ -212,8 +248,12 @@ def energy(graph: SelectionGraph, mask: SelectionMask, lam: float) -> float:
     The unary part is numpy's sum of the selected faces' costs.
     """
     _check_lambda(lam)
-    pair = pairwise_reward(graph, mask)
-    return float(graph.unary[mask.alpha.view(bool)].sum()) + lam * pair
+    return _energy(graph.unary, mask.alpha, lam, pairwise_reward(graph, mask))
+
+
+def _energy(unary: np.ndarray, alpha: np.ndarray, lam: float, reward: float) -> float:
+    """The energy of int8 mask ``alpha`` whose pairwise reward is ``reward``."""
+    return float(unary[alpha.view(bool)].sum()) + lam * reward
 
 
 def pairwise_reward(graph: SelectionGraph, mask: SelectionMask) -> float:
@@ -228,11 +268,16 @@ def pairwise_reward(graph: SelectionGraph, mask: SelectionMask) -> float:
         raise ValueError(f"mask length {len(mask)} != {graph.n_faces} faces")
     reward = 0.0
     for ids, a, b, w in graph.blocks:
-        alpha = mask.alpha[ids]
-        both = alpha[a]  # int8 gathers: an eighth of float64 ones
-        both &= alpha[b]
-        reward += float(w[both.view(bool)].sum())
+        reward += _block_reward(mask.alpha[ids], a, b, w)
     return reward
+
+
+def _block_reward(alpha: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
+    """numpy's sum of one block's weights whose endpoints ``alpha`` (int8,
+    the class's mask) both selects."""
+    both = alpha[a]  # int8 gathers: an eighth of float64 ones
+    both &= alpha[b]
+    return float(w[both.view(bool)].sum())
 
 
 _DUMP_EDGES = 8192  # edge rows formatted per write

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from skd import mincut
 from skd.dataset import FormatError, SynthConfig, synthesize
 from skd.metric import class_centroids
 from skd.mincut import (
@@ -185,6 +186,80 @@ STRESS_DIGEST = "e384c21ef5586fefb10a41038f2bb5430e92454cd133fd97d0b6884bea1bcaa
 class TestStressGolden:
     def test_masks_and_energies_bit_identical(self):
         assert digests(stress_cases()) == (STRESS_MASK_DIGEST, STRESS_DIGEST)
+
+
+def streamed(cases):
+    """``cases`` with each graph's blocks handed over as a one-shot iterator."""
+    for g, lam in cases:
+        yield SelectionGraph(g.n_faces, g.n_classes, g.labels, g.unary, iter(g.blocks)), lam
+
+
+class TestStreamedBlocks:
+    """``minimize`` makes one pass over its blocks, so an iterator of them will do."""
+
+    def test_golden_digests(self):
+        assert digests(streamed(golden_cases())) == (GOLDEN_MASK_DIGEST, GOLDEN_DIGEST)
+
+    def test_stress_digests(self):
+        assert digests(streamed(stress_cases())) == (STRESS_MASK_DIGEST, STRESS_DIGEST)
+
+    @staticmethod
+    def four_class_blocks():
+        """Labels, unary costs and the blocks of four classes of 4, 3, 5 and 2 faces."""
+        labels = np.repeat([1, 2, 3, 4], [4, 3, 5, 2])
+        blocks = []
+        for c in range(1, 5):
+            ids = np.flatnonzero(labels == c)
+            a, b = np.triu_indices(len(ids), k=1)
+            blocks.append((ids, a.astype(np.uint8), b.astype(np.uint8),
+                           np.linspace(0.1, 0.9, len(a))))
+        return labels, np.full(len(labels), 0.2), blocks
+
+    # (bad block, message, blocks taken, classes solved before the error)
+    @pytest.mark.parametrize("bad, message, taken, solved", [
+        ("negative weight", "edge weights must be finite and nonnegative", 2, 1),
+        ("classes out of order",
+         "blocks must hold each class's faces, ascending, in class order", 3, 2),
+        ("missing class", "blocks must hold each class's faces, ascending, in class order", 3, 3),
+    ], ids=["negative-weight", "classes-out-of-order", "missing-class"])
+    def test_a_bad_block_mid_stream_raises_what_validate_raises(self, monkeypatch, bad, message,
+                                                                taken, solved):
+        labels, unary, blocks = self.four_class_blocks()
+        if bad == "negative weight":
+            ids, a, b, w = blocks[1]
+            blocks[1] = (ids, a, b, np.where(np.arange(len(w)) == 1, -0.5, w))
+        elif bad == "classes out of order":
+            blocks[1], blocks[2] = blocks[2], blocks[1]
+        else:
+            del blocks[2]
+        graph = SelectionGraph(len(labels), 4, labels, unary, blocks)
+        with pytest.raises(ValueError) as eager:
+            graph.validate()
+        assert str(eager.value) == message
+
+        taken_blocks, solves, solve = [], [], mincut.solve_class_cut
+        monkeypatch.setattr(mincut, "solve_class_cut",
+                            lambda *args: solves.append(args) or solve(*args))
+
+        def stream():
+            for block in blocks:
+                taken_blocks.append(block)
+                yield block
+
+        graph.blocks = stream()
+        with pytest.raises(ValueError) as streamed_error:
+            minimize(graph, -1.0)
+        assert str(streamed_error.value) == message
+        # each block is checked when it arrives, after the classes before it are solved
+        assert (len(taken_blocks), len(solves)) == (taken, solved)
+
+    def test_a_used_stream_is_not_solved_again(self):
+        labels, unary, blocks = self.four_class_blocks()
+        graph = SelectionGraph(len(labels), 4, labels, unary, iter(blocks))
+        mask, _ = minimize(graph, -1.0)
+        assert mask.selected_count > 0
+        with pytest.raises(ValueError, match="blocks must hold each class's faces"):
+            minimize(graph, -1.0)
 
 
 def shuffled(g: SelectionGraph, rng) -> SelectionGraph:

@@ -13,6 +13,7 @@ from skd.selgraph import (
     dump_graph,
     energy,
     pairwise_reward,
+    streamed_selection_graph,
 )
 
 
@@ -104,6 +105,25 @@ class TestBuild:
             assert np.array_equal(g.edge_i, np.concatenate(ei))
             assert np.array_equal(g.edge_j, np.concatenate(ej))
             assert g.edge_w.tobytes() == np.concatenate(ew).tobytes()
+
+    def test_streamed_blocks_equal_the_built_ones(self):
+        s = synthesize(SynthConfig(C=5, per_class_count=9, D=6, d_in=2, N=1,
+                                   noise_scale=0.5, seed=5))
+        # classes of 12, 1, 6, 2 and 24 faces, interleaved
+        s.labels = np.random.default_rng(0).permutation(np.repeat([1, 2, 3, 4, 5],
+                                                                  [12, 1, 6, 2, 24]))
+        for mode in ("cossim", "cosdist"):
+            g = build_selection_graph(s, class_centroids(s), measure=mode)
+            lazy = streamed_selection_graph(s.features, s.labels, s.C, class_centroids(s), mode)
+            assert not isinstance(lazy.blocks, list)
+            assert (lazy.n_faces, lazy.n_classes) == (g.n_faces, g.n_classes)
+            assert lazy.labels is s.labels and lazy.unary.tobytes() == g.unary.tobytes()
+            blocks = list(lazy.blocks)
+            assert len(blocks) == len(g.blocks) == 5
+            for got, want in zip(blocks, g.blocks):
+                for part, expected in zip(got, want):
+                    assert part.dtype == expected.dtype
+                    assert part.tobytes() == expected.tobytes()
 
     def test_weights_nonnegative_both_measures(self):
         s = synthesize(SynthConfig(C=4, per_class_count=6, D=6, d_in=2, N=1,
