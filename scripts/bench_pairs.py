@@ -9,9 +9,10 @@ so a slow phase of a shared host falls on both sides. T and each metric's
 better direction come from this repository's ``BENCHMARK.json``, so every
 run is as long as the benchmark's own. Prints each pair's change/parent
 ratio per end-to-end metric as it finishes, then each side's median and
-quartiles, the ratio of the medians, how many pairs the change won, and
-whether the change's gain in the median is larger than the parent's
-interquartile range. Each checkout's ``bench/`` is run as it is, never
+quartiles, the ratio of the medians, how many pairs the change won, whether
+the change's gain in the median is larger than the parent's interquartile
+range, and a verdict against the metric's ``bound`` in ``BENCHMARK.json``
+(see ``verdict``). Each checkout's ``bench/`` is run as it is, never
 edited; a run that is not ``correct`` stops the script.
 """
 
@@ -49,6 +50,24 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def verdict(parent: list[float], change: list[float], bound: float, lower: bool) -> str:
+    """Whether the change's runs of one metric regress on the parent's.
+
+    ``unresolved`` when the parent's interquartile range is wider than
+    ``bound`` times its median, unless every change run is better than every
+    parent run; otherwise ``no regression`` when the change's median is worse
+    than the parent's by at most ``bound`` times the parent's median, and
+    ``REGRESSION`` when it is worse by more.
+    """
+    sign = 1 if lower else -1  # sign * value: lower is better
+    p, c = median(parent), median(change)
+    p1, p3 = quartiles(parent)
+    every_run_better = max(sign * v for v in change) < min(sign * v for v in parent)
+    if p3 - p1 > bound * abs(p) and not every_run_better:
+        return "unresolved"
+    return "no regression" if sign * (c - p) <= bound * abs(p) else "REGRESSION"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="checkout to compare against")
@@ -61,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be >= 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    lower_is_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
 
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
@@ -77,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in runs["parent"][0]:
         p = [r[name] for r in runs["parent"]]
         c = [r[name] for r in runs["change"]]
-        lower = lower_is_better.get(name, True)
+        lower = metrics[name]["better"] == "lower"
         wins = sum((ci < pi) if lower else (ci > pi) for pi, ci in zip(p, c))
         (p1, p3), (c1, c3) = quartiles(p), quartiles(c)
         gain = (median(p) - median(c)) * (1 if lower else -1)
@@ -85,7 +104,8 @@ def main(argv: list[str] | None = None) -> int:
               f"change {median(c):.4f} [{c1:.4f}, {c3:.4f}]  "
               f"ratio {median(c) / median(p):.3f}  change better in {wins}/{len(p)}  "
               f"median gain {gain:+.4f} {'>' if gain > p3 - p1 else '<='} "
-              f"parent IQR {p3 - p1:.4f}")
+              f"parent IQR {p3 - p1:.4f}  "
+              f"{verdict(p, c, metrics[name]['bound'], lower)} (bound {metrics[name]['bound']})")
     return 0
 
 

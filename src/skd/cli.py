@@ -251,6 +251,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.batch < 1 or args.repeat < 1:
+        raise ValueError(f"--batch and --repeat must be >= 1, got {args.batch} and {args.repeat}")
     ckpt = _require_file(args.ckpt)
     model = load_checkpoint(ckpt)
     X = np.random.default_rng(0).normal(size=(args.batch, model.arch.input_dim))
@@ -349,7 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="selection counts over a lambda grid")
     p.add_argument("--set", required=True)
-    p.add_argument("--grid", default="", help="pow2:-8192..0 (default) or list:a,b,c")
+    p.add_argument("--grid", default="",
+                   help="pow2:<lo>..<hi> (default pow2:-8192..0) takes each -2**k, k >= 0, "
+                        "in the range, plus 0 if hi is 0; list:a,b,c takes any values, "
+                        "such as those in (-1, 0)")
     _add_measure(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)

@@ -179,14 +179,14 @@ def save_student_set(sset: StudentSet, path: str | Path) -> None:
 
 
 def _exact_values(lines: list[str], N: int, first: int) -> list[float]:
-    """``float()`` of every value field of consecutive SKD1 body ``lines``, the
-    first of which is file line ``first`` and starts a record; FormatError at
-    the first line with an unparseable or non-finite value."""
+    """``float()`` of every value field of consecutive SKD1 body ``lines``, each
+    ending in a newline, the first of which is file line ``first`` and starts a
+    record; FormatError at the first line with an unparseable or non-finite value."""
     values: list[float] = []
     for lineno, line in enumerate(lines, start=first):
         head = 3 if (lineno - first) % (N + 1) == 0 else 1
         try:
-            row = [float(v) for v in line.split(",")[head:]]
+            row = [float(v) for v in line[:-1].split(",")[head:]]
         except ValueError as exc:
             raise FormatError(f"unparseable float field ({exc})", line=lineno) from None
         if not np.isfinite(row).all():
@@ -233,10 +233,12 @@ _GROUP_RECORDS = 64
 def load_student_set(path: str | Path) -> StudentSet:
     """Parse an SKD1 file. Raises FormatError naming the offending line.
 
-    The file is read a group of records at a time and each group's values
-    are parsed in bulk into the set's arrays. It is read to the end before
-    any error is raised, so a malformed header comes first, then a wrong line
-    count, then the first bad line, then set-level violations.
+    The file is read a group of records at a time. Each layout rule is
+    checked once per group, and each group's values are parsed in bulk into
+    the set's arrays, through ``float()`` where their text is not plain
+    decimal. The file is read to the end before any error is raised, so a
+    malformed header comes first, then a wrong line count, then the first bad
+    line, whichever rule it breaks, then set-level violations.
     """
     try:
         with open(path, encoding="ascii") as f:  # universal newlines, as Path.read_text
@@ -248,87 +250,79 @@ def load_student_set(path: str | Path) -> StudentSet:
         raise
 
 
-def _bulk_group(group: list[str], prefixes: list[str], N: int, D: int, d_in: int):
-    """A group's ``(ids, labels, flags, features, inputs)`` from list operations
-    and one ``np.loadtxt`` call per row kind, or None if any check fails.
-
-    ``prefixes`` holds the ``"{j},"`` that starts each input line. Over plain
-    decimal literals (the only characters let through) numpy's parser and
-    ``float()`` accept the same fields and round alike.
-
-    Its checks are ``_scan_group``'s line rules as list operations, and the
-    two must stay equivalent: a group this accepts must scan to the same
-    arrays, and a rule added to one belongs in the other.
-    """
-    feature_lines = group[::N + 1]
-    input_lines = group[:]
-    del input_lines[::N + 1]
-    if (set(map(str.count, feature_lines, itertools.repeat(","))) != {2 + D}
-            or set(map(str.count, input_lines, itertools.repeat(","))) != {d_in}
-            or not all(map(str.startswith, input_lines, prefixes))):
-        return None
-    rids, labels, flags, rests = zip(*(line.split(",", 3) for line in feature_lines))
-    input_rests = [line[len(p):] for line, p in zip(input_lines, prefixes)]
-    if (not _FLAG_VALUE.keys() >= set(flags)
-            or "\n" in rests or "\n" in input_rests  # np.loadtxt skips a blank row
-            or "".join(itertools.chain(rests, input_rests)).encode().translate(
-                None, _DECIMAL_CHARS)):
-        return None
+def _int(text: str) -> int | None:
     try:
-        ids, labels = list(map(int, rids)), list(map(int, labels))
-        features = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
-        inputs = np.loadtxt(input_rests, delimiter=",", comments=None, ndmin=2)
+        return int(text)
     except ValueError:
         return None
-    k = len(feature_lines)
-    if (features.shape != (k, D) or inputs.shape != (k * N, d_in)
-            or not (np.isfinite(features).all() and np.isfinite(inputs).all())):
-        return None
-    return ids, labels, [_FLAG_VALUE[flag] for flag in flags], features, inputs
 
 
-def _scan_group(group: list[str], first: int, N: int, D: int, d_in: int):
-    """``_bulk_group``'s result line by line, for a group that failed it.
+def _group(group: list[str], first: int, prefixes: list[str], N: int, D: int, d_in: int):
+    """A group's ``(ids, labels, flags, features, inputs)``; FormatError at its
+    first bad line, after the values of the lines before it are checked.
 
-    Raises FormatError at the group's first bad line; ``group``'s first line
-    is file line ``first``. Fields that ``float()`` accepts outside the plain
-    decimal alphabet (``" 0.5"``, ``"1_0"``) load through here. Its line
-    rules must stay equivalent to ``_bulk_group``'s list checks.
+    ``group`` holds whole records' lines as ``_Lines.take`` returns them, from
+    file line ``first`` on; ``prefixes`` holds the ``"{j},"`` that starts each
+    input line. Each layout rule is one list check, whose list both accepts
+    the group and words the error. Plain decimal value text is parsed with one
+    ``np.loadtxt`` call per row kind (there numpy's parser and ``float()``
+    accept the same fields and round alike); other text, such as ``" 0.5"`` or
+    ``"1_0"``, goes through ``_exact_values``.
     """
-    group = [line[:-1] for line in group]
-    ids: list[int] = []
-    labels: list[int] = []
-    flags: list[int] = []
-    for lineno, line in enumerate(group, start=first):
-        j = (lineno - first) % (N + 1)  # 0 on a record's feature line, else the version
+    step = N + 1
+    commas = list(map(str.count, group, itertools.repeat(",")))
+    counts = ([2 + D] + [d_in] * N) * (len(group) // step)
+    # a line with a wrong comma count fails there; the lines after it are not read
+    end = len(group)
+    if commas != counts:
+        end = next(o for o, (got, want) in enumerate(zip(commas, counts)) if got != want)
+    feature_lines = group[:end:step]
+    input_lines = group[:end]
+    del input_lines[::step]
+    fields = [line.split(",", 3) for line in feature_lines]
+    ids = [_int(f[0]) for f in fields]
+    labels = [_int(f[1]) for f in fields]
+    flags = [_FLAG_VALUE.get(f[2]) for f in fields]
+    versions = list(map(str.startswith, input_lines, prefixes))
+
+    firsts = [end]  # offsets into the group of each rule's first bad line
+    if None in ids or None in labels or None in flags:
+        firsts.append(step * next(r for r, record in enumerate(zip(ids, labels, flags))
+                                  if None in record))
+    if False in versions:
+        record, j = divmod(versions.index(False), N)
+        firsts.append(record * step + j + 1)
+    offset = min(firsts)
+    if offset < len(group):
+        record, j = divmod(offset, step)
+        if offset == end:
+            message = (f"dimension mismatch: {commas[offset] - 2} feature values, expected {D}"
+                       if j == 0 else
+                       f"dimension mismatch: {commas[offset]} input values, expected {d_in}")
+        elif j:
+            message = f"degraded version index {group[offset].split(',', 1)[0]!r}, expected {j}"
+        elif ids[record] is None or labels[record] is None:
+            message = "non-integer id or label"
+        else:
+            message = f"bad outlier flag {fields[record][2]!r} (expected 0, 1 or -)"
+        _exact_values(group[:offset], N, first)
+        raise FormatError(message, line=first + offset)
+
+    k = len(fields)
+    rests = [f[3] for f in fields]
+    input_rests = [line[len(p):] for line, p in zip(input_lines, prefixes)]
+    # np.loadtxt skips a blank row, and warns when every row is blank
+    if not ("\n" in rests or "\n" in input_rests or "".join(
+            itertools.chain(rests, input_rests)).encode().translate(None, _DECIMAL_CHARS)):
         try:
-            if j == 0:
-                if line.count(",") != 2 + D:
-                    raise FormatError(f"dimension mismatch: {line.count(',') - 2} feature "
-                                      f"values, expected {D}", line=lineno)
-                rid, label, flag, _ = line.split(",", 3)
-                try:
-                    ids.append(int(rid))
-                    labels.append(int(label))
-                except ValueError:
-                    raise FormatError("non-integer id or label", line=lineno) from None
-                if flag not in _FLAG_VALUE:
-                    raise FormatError(f"bad outlier flag {flag!r} (expected 0, 1 or -)",
-                                      line=lineno)
-                flags.append(_FLAG_VALUE[flag])
-            else:
-                if line.count(",") != d_in:
-                    raise FormatError(f"dimension mismatch: {line.count(',')} input "
-                                      f"values, expected {d_in}", line=lineno)
-                version = line.split(",", 1)[0]
-                if version != str(j):
-                    raise FormatError(f"degraded version index {version!r}, expected {j}",
-                                      line=lineno)
-        except FormatError:
-            # a bad value on an earlier line comes first
-            _exact_values(group[:lineno - first], N, first)
-            raise
-    values = np.array(_exact_values(group, N, first)).reshape(len(ids), D + N * d_in)
+            features = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
+            inputs = np.loadtxt(input_rests, delimiter=",", comments=None, ndmin=2)
+            if (features.shape == (k, D) and inputs.shape == (k * N, d_in)
+                    and np.isfinite(features).all() and np.isfinite(inputs).all()):
+                return ids, labels, flags, features, inputs
+        except ValueError:
+            pass
+    values = np.array(_exact_values(group, N, first)).reshape(k, D + N * d_in)
     return ids, labels, flags, values[:, :D], values[:, D:]
 
 
@@ -368,9 +362,8 @@ def _parse(lines: _Lines, st: os.stat_result) -> StudentSet:
             group = lines.take((hi - lo) * (N + 1))
             if len(group) < (hi - lo) * (N + 1):
                 break  # the file ended early: the line count check below fails
-            group_ids, group_labels, group_flags, group_features, group_inputs = (
-                _bulk_group(group, prefixes[:(hi - lo) * N], N, D, d_in)
-                or _scan_group(group, first, N, D, d_in))
+            group_ids, group_labels, group_flags, group_features, group_inputs = _group(
+                group, first, prefixes[:(hi - lo) * N], N, D, d_in)
             ids += group_ids
             labels += group_labels
             flags += group_flags

@@ -101,16 +101,19 @@ class SweepResult:
 
 
 def pow2_lambda_grid(lo: float, hi: float) -> list[float]:
-    """Negative powers of two -2**k in [lo, min(hi, -1)], ascending, then 0 if hi is 0."""
+    """Negative powers of two -2**k in [lo, min(hi, -1)], ascending, then 0 if hi is 0.
+
+    Raises ValueError when that range holds no power of two.
+    """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and lo < 0):
         raise ValueError(f"grid bounds must be finite with lo <= hi and lo < 0, got {lo}..{hi}")
     top = hi if hi < 0 else -1.0
     # 2**1023 is the largest finite power of two, so no finite lo overflows
     grid = [-(2.0**k) for k in range(1023, -1, -1) if lo <= -(2.0**k) <= top]
-    if hi == 0.0:
-        grid.append(0.0)
     if not grid:
         raise ValueError(f"grid {lo}..{hi} has no power of two")
+    if hi == 0.0:
+        grid.append(0.0)
     return grid
 
 

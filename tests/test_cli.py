@@ -170,7 +170,7 @@ class TestSweep:
         assert len(grid) == 1025 and grid[0] == -(2.0**1023) and grid[-2:] == [-1.0, 0.0]
 
     @pytest.mark.parametrize("spec", ["pow2:-inf..0", "pow2:nan..0", "pow2:-8..inf",
-                                      "pow2:-1..-2", "pow2:-0.5..-0.25"])
+                                      "pow2:-1..-2", "pow2:-0.5..-0.25", "pow2:-0.5..0"])
     def test_invalid_pow2_grid_exit_5(self, toy_set, tmp_path, spec):
         assert main(["sweep", "--set", str(toy_set), "--grid", spec,
                      "--out", str(tmp_path / "s.csv")]) == 5
@@ -428,6 +428,16 @@ class TestPipeline:
         # float64 parameters plus the magic and metadata lines
         assert payload["checkpoint_bytes"] > 8 * payload["parameter_count"]
         assert payload["inferences_per_sec"] > 0
+
+    @pytest.mark.parametrize("sizes", [["--repeat", "-3"], ["--repeat", "0"], ["--batch", "0"],
+                                       ["--batch", "-1", "--repeat", "5"]])
+    def test_bench_sizes_below_1_exit_5(self, tmp_path, capsys, sizes):
+        ckpt = tmp_path / "s.ckpt"
+        arch = StudentArch(input_dim=3, mimic_dim=8, class_count=3, trunk=(4,), identity_dim=4)
+        save_checkpoint(init_student(arch, seed=0), ckpt)
+        assert main(["bench", "--ckpt", str(ckpt), *sizes]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be >= 1" in captured.err
 
     def test_divergence_exit_6(self, tmp_path):
         d = self.run_pipeline(tmp_path, "div", supervision="c")

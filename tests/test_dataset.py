@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ from hypothesis import strategies as st
 
 from skd.dataset import (
     _GROUP_RECORDS,
-    _bulk_group,
-    _scan_group,
     FormatError,
     StudentSet,
     SynthConfig,
@@ -404,6 +403,16 @@ FORMAT_ERROR_CASES = [
      "record 1: all-zero teacher feature", 1),
     ("id-before-label", [_field(8, 0, "6"), _field(8, 1, "4")],
      "record ids must be dense 0..n-1; got id 6 at position 2", 1),
+    ("version-before-flag", [_field(4, 0, "9"), _field(8, 2, "?")],
+     "degraded version index '9', expected 2", 4),
+    ("flag-before-version", [_field(5, 2, "?"), _field(7, 0, "9")],
+     "bad outlier flag '?' (expected 0, 1 or -)", 5),
+    ("input-count-before-feature-count", [_append(3, ",1"), _drop_last_field(5)],
+     "dimension mismatch: 3 input values, expected 2", 3),
+    # On one feature line: the comma count, then the id and label, then the flag.
+    ("count-before-int", [_field(5, 0, "a"), _append(5, ",1")],
+     "dimension mismatch: 4 feature values, expected 3", 5),
+    ("int-before-flag", [_field(5, 0, "a"), _field(5, 2, "?")], "non-integer id or label", 5),
 ]
 
 
@@ -479,30 +488,24 @@ class TestFormatErrors:
         assert str(exc.value) == f"line {line}: {message}"
         assert exc.value.line == line
 
-    @pytest.mark.parametrize(
-        "edits", [case[1] for case in FORMAT_ERROR_CASES],
-        ids=[case[0] for case in FORMAT_ERROR_CASES],
-    )
-    def test_bulk_and_scan_agree(self, edits):
-        # The grouped parse and the per-line scan write the same line rules
-        # twice: on every case's body, the bulk path must refuse what the scan
-        # rejects and load the scan's arrays otherwise.
-        lines = list(VALID_SKD1)
-        for edit in edits:
-            edit(lines)
-        group = [line + "\n" for line in lines[1:]]
-        if len(group) != 12:  # the line count check fails first
-            return
-        N, D, d_in = 2, 3, 2
-        bulk = _bulk_group(group, ["1,", "2,"] * 4, N, D, d_in)
-        try:
-            scan = _scan_group(group, 2, N, D, d_in)
-        except FormatError:
-            assert bulk is None
-            return
-        assert bulk is not None
-        assert bulk[:3] == scan[:3]
-        assert [a.tobytes() for a in bulk[3:]] == [a.tobytes() for a in scan[3:]]
+    @pytest.mark.parametrize("records,line", [(1, 2), (1, 3), (3, 4), (3, 5)])
+    def test_empty_value_of_a_one_value_row(self, tmp_path, records, line):
+        # D = 1 and d_in = 1: the feature line "i,1,0," and the input line "1,"
+        # have the right comma counts and one empty value, which float()
+        # rejects. The file's only record, or its second of three; loading
+        # it warns of nothing (np.loadtxt warns on a list of blank rows).
+        lines = [f"SKD1 {records} 1 1 1 1"]
+        for i in range(records):
+            lines += [f"{i},1,0,0.5", "1,0.25"]
+        _field(line, -1, "")(lines)
+        p = tmp_path / "s.skd"
+        p.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings(), pytest.raises(FormatError) as exc:
+            warnings.simplefilter("error")
+            load_student_set(p)
+        assert (str(exc.value), exc.value.line) == (
+            f"line {line}: unparseable float field (could not convert string to float: '')",
+            line)
 
 
 class TestParseGroups:
@@ -561,6 +564,14 @@ class TestParseGroups:
         _drop_last_field(self.line_of(599, 1))(lines)
         assert self.load_error(p, lines) == (self.line_of(3),
                                              f"line {self.line_of(3)}: non-finite value")
+
+    def test_input_line_error_before_flag_in_a_later_group(self, multi):
+        _, p, lines = multi
+        bad_version, bad_flag = self.line_of(200, 2), self.line_of(210)
+        _field(bad_version, 0, "1")(lines)
+        _field(bad_flag, 2, "?")(lines)
+        assert self.load_error(p, lines) == (
+            bad_version, f"line {bad_version}: degraded version index '1', expected 2")
 
     @pytest.mark.parametrize("edit,found", [(_delete(1801), 1800),
                                             (_insert(1802, "2,0.5,0.5"), 1802),
