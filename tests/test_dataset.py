@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from skd import dataset
 from skd.dataset import (
     _GROUP_RECORDS,
+    _group,
     FormatError,
     StudentSet,
     SynthConfig,
@@ -487,6 +489,33 @@ class TestFormatErrors:
             load_student_set(p)
         assert str(exc.value) == f"line {line}: {message}"
         assert exc.value.line == line
+
+    @pytest.mark.parametrize(
+        "edits", [case[1] for case in FORMAT_ERROR_CASES],
+        ids=[case[0] for case in FORMAT_ERROR_CASES],
+    )
+    def test_bulk_and_scan_agree(self, edits, monkeypatch):
+        # _group parses plain decimal text in bulk with np.loadtxt and other
+        # text with float() per field: on every case's body, forcing the
+        # per-field scan must give the same error or bit-identical arrays.
+        lines = list(VALID_SKD1)
+        for edit in edits:
+            edit(lines)
+        group = [line + "\n" for line in lines[1:]]
+        if len(group) != 12:  # the line count check fails first
+            return
+
+        def parse():
+            try:
+                ids, labels, flags, features, inputs = _group(
+                    group, 2, ["1,", "2,"] * 4, 2, 3, 2)
+            except FormatError as exc:
+                return str(exc), exc.line
+            return ids, labels, flags, features.tobytes(), inputs.tobytes()
+
+        bulk = parse()
+        monkeypatch.setattr(dataset, "_DECIMAL_CHARS", b"")  # no text is plain decimal
+        assert parse() == bulk
 
     @pytest.mark.parametrize("records,line", [(1, 2), (1, 3), (3, 4), (3, 5)])
     def test_empty_value_of_a_one_value_row(self, tmp_path, records, line):
