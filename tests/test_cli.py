@@ -457,17 +457,22 @@ class TestGraphDumpGolden:
     dump show it.
     """
 
-    @pytest.mark.parametrize("per_class, seed, digest", [
-        (30, 7, "566232313c102608a2c7e8fc7a32120bae09b05f3afefb14bf41e4c1207b8e18"),
-        (30, 1811, "556c3d7fff22776ba18b7f957d024bbb58e5c4ed1cf8b7b1535ca5031d59d43e"),
-        (300, 7, "934be73bbd68826b3ef02110623154226079a2a7f0f1b867e97e35fb75540bab"),
-    ], ids=["10x30-seed7", "10x30-seed1811", "10x300-seed7"])
-    def test_digest(self, tmp_path, per_class, seed, digest):
+    @pytest.mark.parametrize("measure, per_class, seed, digest", [
+        ("cossim", 30, 7, "566232313c102608a2c7e8fc7a32120bae09b05f3afefb14bf41e4c1207b8e18"),
+        ("cossim", 30, 1811, "556c3d7fff22776ba18b7f957d024bbb58e5c4ed1cf8b7b1535ca5031d59d43e"),
+        ("cossim", 300, 7, "934be73bbd68826b3ef02110623154226079a2a7f0f1b867e97e35fb75540bab"),
+        ("cosdist", 30, 7, "cab76c4204d0268fc017af7c77dca934512a7db231fdf4ec97b01dc81f757eb4"),
+        ("cosdist", 30, 1811, "fc60f6ee2db8a495a478d2bc77e5ebba5f25d791684f63483be421d168678893"),
+        ("cosdist", 300, 7, "31b3f8a52c9bdc88bae3fe737b0099f9fbfbafca246ffcbfa67b461e2c342235"),
+    ], ids=["10x30-seed7", "10x30-seed1811", "10x300-seed7",
+            "cosdist-10x30-seed7", "cosdist-10x30-seed1811", "cosdist-10x300-seed7"])
+    def test_digest(self, tmp_path, measure, per_class, seed, digest):
         path = tmp_path / "set.skd"
         assert main(synth_args(path, classes=10, per_class=per_class, teacher_dim=128,
                                input_dim=8, versions=4, noise=0.005, outlier_fraction=0.1,
                                seed=seed)) == 0
-        assert main(["graph", "dump", "--set", str(path), "--out", str(tmp_path / "g.txt")]) == 0
+        assert main(["graph", "dump", "--set", str(path), "--measure", measure,
+                     "--out", str(tmp_path / "g.txt")]) == 0
         assert sha(tmp_path / "g.txt") == digest
 
 
