@@ -13,8 +13,7 @@ import numpy as np
 
 from .dataset import StudentSet
 
-__all__ = ["MEASURES", "unit_rows", "pairwise_measure", "measure_matrix", "class_measures",
-           "class_centroids"]
+__all__ = ["MEASURES", "unit_rows", "pairwise_measure", "measure_matrix", "class_centroids"]
 
 MEASURES = ("cossim", "cosdist")
 
@@ -56,53 +55,15 @@ def measure_matrix(A: np.ndarray, B: np.ndarray, mode: str = "cossim") -> np.nda
     The inputs are never written; the result is clipped and clamped in place.
     The two normalized operands are separate arrays even when A is B: numpy
     computes ``X @ X.T`` on one buffer as a symmetric product, whose last bits
-    differ from the general product's. Raises ValueError on a zero row.
+    differ from the general product's. Raises ValueError on an unknown mode,
+    then on a zero row of A or B.
     """
-    _check_measure(mode, A, B)
-    if B is A:
-        return _self_measure(unit_rows(A), mode)
-    return _unit_measure(unit_rows(A), unit_rows(B), mode)
-
-
-def class_measures(F: np.ndarray, centroids: np.ndarray, class_ids: list, mode: str = "cossim"):
-    """``measure_matrix(F, centroids)`` and a generator of each class's
-    ``measure_matrix(F[ids], F[ids])``, ``ids`` taken from ``class_ids`` in turn.
-
-    Both are bit-equal to those calls, and every row of F is checked once.
-    The centroid measure comes from one product over all rows, since a row
-    block of it can take another BLAS kernel and round differently. Its
-    normalized rows are freed on return; the generator normalizes each
-    class's rows again as it reaches the class (``unit_rows`` works row by
-    row, so the bits are the same), so beside F it holds one class's rows at
-    a time. Raises ValueError on an unknown mode or a zero row, before
-    anything is computed.
-    """
-    _check_measure(mode, F, centroids)
-    face_cent = _unit_measure(unit_rows(F), unit_rows(centroids), mode)
-
-    def grams():
-        for ids in class_ids:
-            yield _self_measure(unit_rows(F[ids]), mode)
-
-    return face_cent, grams()
-
-
-def _check_measure(mode: str, A: np.ndarray, B: np.ndarray) -> None:
-    """ValueError on an unknown mode, then on a zero row of A or B."""
     if mode not in MEASURES:
         raise ValueError(f"unknown measure mode {mode!r}; expected one of {MEASURES}")
     if not (np.any(A, axis=1).all() and np.any(B, axis=1).all()):
         raise ValueError("zero-norm vector has no direction")
-
-
-def _self_measure(U: np.ndarray, mode: str) -> np.ndarray:
-    """``_unit_measure(U, U)`` as a general product, on a copy of U."""
-    return _unit_measure(U, U.copy(), mode)
-
-
-def _unit_measure(UA: np.ndarray, UB: np.ndarray, mode: str) -> np.ndarray:
-    """``measure_matrix`` of rows already normalized by ``unit_rows``, unchecked."""
-    cos = UA @ UB.T
+    UA = unit_rows(A)
+    cos = UA @ (UA.copy() if B is A else unit_rows(B)).T
     np.clip(cos, -1.0, 1.0, out=cos)
     if mode == "cossim":
         return np.maximum(cos, 0.0, out=cos)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import StudentSet
-from .metric import class_measures
+from .metric import measure_matrix
 
 __all__ = [
     "SelectionGraph",
@@ -201,37 +201,41 @@ def streamed_selection_graph(features: np.ndarray, labels: np.ndarray, n_classes
     """The selection graph of faces with these features and labels 1..n_classes,
     its ``blocks`` a one-shot iterator over :func:`class_blocks`.
 
-    The unary costs are computed here; each class's block is made only when
-    the iterator reaches it, so the graph is good for one pass (one
+    The unary costs come from one ``measure_matrix(features, centroids)``
+    product over all rows, since a row block of it can take another BLAS
+    kernel and round differently; that call also rejects an unknown measure
+    or a zero row before any block is made. Each class's block is made only
+    when the iterator reaches it, so the graph is good for one pass (one
     ``minimize``) and is validated by that pass.
     """
     if len(centroids) != n_classes:
         raise ValueError(f"centroids cover {len(centroids)} classes, set has {n_classes}")
     n = len(labels)
     class_ids = [np.flatnonzero(labels == c) for c in range(1, n_classes + 1)]
-    face_cent, grams = class_measures(features, centroids, class_ids, measure)  # (n, C)
+    face_cent = measure_matrix(features, centroids, measure)  # (n, C)
     unary = face_cent.sum(axis=1) - face_cent[np.arange(n), labels - 1]
-    return SelectionGraph(n, n_classes, labels, unary, class_blocks(class_ids, grams))
+    return SelectionGraph(n, n_classes, labels, unary, class_blocks(features, class_ids, measure))
 
 
-def class_blocks(class_ids: list, grams):
-    """``(ids, a, b, w)`` of each nonempty class in turn, read from its Gram matrix.
+def class_blocks(features: np.ndarray, class_ids: list, measure: str = "cossim") -> Iterator:
+    """``(ids, a, b, w)`` of each nonempty class, ``ids`` taken from ``class_ids`` in turn.
 
-    ``grams`` yields one Gram matrix per entry of ``class_ids``. A block is
-    read through one boolean mask of the upper triangle, row by row, and the
-    Gram matrix and the mask are freed before the block is yielded, so a
-    consumer that drops each block before taking the next holds one at a time.
+    A class's weights are ``measure_matrix(features[ids], features[ids])``,
+    read through one boolean mask of its upper triangle, row by row. The
+    class's rows, its measure matrix and the mask are freed before the block
+    is yielded, so beside ``features`` a consumer that drops each block before
+    taking the next holds one class's block at a time.
     """
-    grams = iter(grams)
     for ids in class_ids:
-        gram = next(grams)  # not zip: its reused result tuple keeps the last Gram alive
         if len(ids):
+            rows = features[ids]
+            gram = measure_matrix(rows, rows, measure)
             local = np.arange(len(ids), dtype=np.min_scalar_type(len(ids)))
             upper = local[:, None] < local
             a = np.broadcast_to(local[:, None], upper.shape)[upper]
             b = np.broadcast_to(local, upper.shape)[upper]
             w = gram[upper]
-            del gram, upper
+            del rows, gram, upper
             yield ids, a, b, w
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from skd.dataset import StudentSet
 from skd.metric import (
     class_centroids,
-    class_measures,
     measure_matrix,
     pairwise_measure,
     unit_rows,
@@ -181,25 +180,6 @@ def test_measure_matrix_writes_only_its_result(mode, rows, dim):
     assert measure_matrix(A, B, mode).tobytes() == out_of_place_measure(A, B, mode).tobytes()
     assert measure_matrix(A, A, mode).tobytes() == out_of_place_measure(A, A, mode).tobytes()
     assert (A.tobytes(), B.tobytes()) == before
-
-
-@pytest.mark.parametrize("mode", ["cossim", "cosdist"])
-@pytest.mark.parametrize("rows, dim", [(30, 8), (300, 128)])
-def test_class_measures_equal_measure_matrix(mode, rows, dim):
-    rng = np.random.default_rng(rows)
-    F = rng.normal(size=(rows, dim))
-    centroids = rng.normal(size=(4, dim))
-    labels = rng.permutation(np.concatenate([[2], rng.choice([1, 4], size=rows - 1)]))
-    class_ids = [np.flatnonzero(labels == c) for c in range(1, 5)]  # class 3 is empty
-    face_cent, grams = class_measures(F, centroids, class_ids, mode)
-    assert face_cent.tobytes() == measure_matrix(F, centroids, mode).tobytes()
-    for ids, gram in zip(class_ids, grams, strict=True):
-        assert gram.tobytes() == measure_matrix(F[ids], F[ids], mode).tobytes()
-    F[5] = 0.0
-    with pytest.raises(ValueError, match="zero-norm"):
-        class_measures(F, centroids, class_ids, mode)
-    with pytest.raises(ValueError, match="unknown measure"):
-        class_measures(F, centroids, class_ids, "dot")
 
 
 # Zeros and magnitudes 2**-200 .. 2**201: every square in a norm is a normal float.

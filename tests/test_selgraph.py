@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from skd import selgraph
 from skd.dataset import StudentSet, SynthConfig, synthesize
 from skd.metric import class_centroids, measure_matrix
 from skd.selgraph import (
@@ -175,6 +176,35 @@ class TestBuild:
         edges[field] = np.repeat(edges[field], 2)
         with pytest.raises(ValueError, match="one length"):
             SelectionGraph.from_edges(3, 2, g.labels, g.unary, **edges)
+
+
+@pytest.mark.parametrize("mode", ["cossim", "cosdist"])
+@pytest.mark.parametrize("rows, dim", [(30, 8), (300, 128)])
+def test_streamed_graph_equals_measure_matrix(monkeypatch, mode, rows, dim):
+    rng = np.random.default_rng(rows)
+    F = rng.normal(size=(rows, dim))
+    centroids = rng.normal(size=(4, dim))
+    labels = rng.permutation(np.concatenate([[2], rng.choice([1, 4], size=rows - 1)]))
+    class_ids = [np.flatnonzero(labels == c) for c in range(1, 5)]  # class 3 is empty
+    g = streamed_selection_graph(F, labels, 4, centroids, mode)
+    face_cent = measure_matrix(F, centroids, mode)
+    unary = face_cent.sum(axis=1) - face_cent[np.arange(rows), labels - 1]
+    assert g.unary.tobytes() == unary.tobytes()
+    blocks = list(g.blocks)
+    assert [ids.tolist() for ids, *_ in blocks] == [class_ids[c].tolist() for c in (0, 1, 3)]
+    for ids, a, b, w in blocks:
+        upper = np.triu_indices(len(ids), k=1)
+        assert np.array_equal(a, upper[0]) and np.array_equal(b, upper[1])
+        assert w.tobytes() == measure_matrix(F[ids], F[ids], mode)[upper].tobytes()
+
+    made = []
+    monkeypatch.setattr(selgraph, "class_blocks", lambda *args: made.append(args))
+    F[5] = 0.0
+    with pytest.raises(ValueError, match="zero-norm"):
+        streamed_selection_graph(F, labels, 4, centroids, mode)
+    with pytest.raises(ValueError, match="unknown measure"):
+        streamed_selection_graph(rng.normal(size=(rows, dim)), labels, 4, centroids, "dot")
+    assert made == []
 
 
 class TestEnergy:
