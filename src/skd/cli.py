@@ -7,7 +7,7 @@ outputs byte for byte.
 Exit codes:
   0  success
   2  usage error (bad flags)
-  3  missing input file
+  3  missing input file or output directory
   4  malformed input file (parse error)
   5  invalid configuration or invariant violation
   6  numeric failure during training
@@ -65,7 +65,7 @@ EXIT_NUMERIC = 6
 EPILOG = """exit codes:
   0  success
   2  usage error
-  3  missing input file
+  3  missing input file or output directory
   4  malformed input file
   5  invalid configuration or invariant violation
   6  numeric failure during training
@@ -87,6 +87,13 @@ def _require_file(path: str) -> Path:
     if not p.is_file():
         raise FileNotFoundError(f"missing input file: {path}")
     return p
+
+
+def _require_out_dirs(args) -> None:
+    """FileNotFoundError naming the missing directory of ``--out`` or ``--metrics``."""
+    for out in (getattr(args, "out", ""), getattr(args, "metrics", "")):
+        if out and not Path(out).parent.is_dir():
+            raise FileNotFoundError(f"missing output directory: {Path(out).parent}")
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -408,6 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
+        _require_out_dirs(args)
         return args.func(args)
     except FileNotFoundError as exc:
         print(json.dumps({"error": "missing_file", "detail": str(exc)}), file=sys.stderr)

@@ -267,7 +267,11 @@ def save_checkpoint(model: StudentModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> StudentModel:
-    """Read a checkpoint; a malformed file raises :class:`FormatError`."""
+    """Read a checkpoint; a malformed file raises :class:`FormatError`.
+
+    The metadata must describe a valid arch, its layers must be the arch's
+    ``layer_plan()`` in order, and each layer's ``trainable`` a JSON bool.
+    """
     blob = Path(path).read_bytes()
     magic, _, rest = blob.partition(b"\n")
     if magic != CHECKPOINT_MAGIC:
@@ -278,12 +282,17 @@ def load_checkpoint(path: str | Path) -> StudentModel:
         arch_meta = dict(meta["arch"])
         arch_meta["trunk"] = tuple(arch_meta["trunk"])
         arch = StudentArch(**arch_meta)
+        arch.validate()
         seed = int(meta["seed"])
         layer_meta = [
             (int(lm["fan_in"]), int(lm["fan_out"]), lm["activation"], lm["name"],
-             bool(lm["trainable"]))
+             lm["trainable"])
             for lm in meta["layers"]
         ]
+        if [m[:4] for m in layer_meta] != arch.layer_plan():
+            raise ValueError("layers do not match the arch's layer plan")
+        if not all(isinstance(m[4], bool) for m in layer_meta):
+            raise ValueError("a layer's trainable flag is not a bool")
     except (ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"malformed checkpoint metadata: {exc!r}", line=2) from None
     layers = []

@@ -250,6 +250,44 @@ class TestErrors:
     def test_usage_error_exit_2(self):
         assert main(["select"]) == 2
 
+    @pytest.mark.parametrize("command", ["synth", "graph", "select", "sweep", "pretrain",
+                                         "pretrain-metrics", "finetune", "finetune-metrics",
+                                         "eval"])
+    def test_missing_output_directory_exit_3_before_any_work(self, toy_set, tmp_path, capsys,
+                                                             monkeypatch, command):
+        ckpt = tmp_path / "s.ckpt"
+        save_checkpoint(init_student(StudentArch(input_dim=3, mimic_dim=8, class_count=3,
+                                                 trunk=(4,), identity_dim=4), seed=0), ckpt)
+        solves = []
+        for module in (mincut, skd.cli):
+            monkeypatch.setattr(module, "minimize", lambda *args: solves.append(args))
+        nodir = tmp_path / "nodir"
+        train = ["--set", str(toy_set), "--epochs", "1"]
+        argv = {
+            "synth": synth_args(nodir / "s.skd"),
+            "graph": ["graph", "dump", "--set", str(toy_set), "--out", str(nodir / "g.txt")],
+            "select": ["select", "--set", str(toy_set), "--lambda", "-1",
+                       "--out", str(nodir / "m.mask")],
+            "sweep": ["sweep", "--set", str(toy_set), "--out", str(nodir / "s.csv")],
+            "pretrain": ["pretrain", *train, "--out", str(nodir / "p.ckpt")],
+            "pretrain-metrics": ["pretrain", *train, "--out", str(tmp_path / "p.ckpt"),
+                                 "--metrics", str(nodir / "p.jsonl")],
+            "finetune": ["finetune", *train, "--ckpt", str(ckpt), "--supervision", "c",
+                         "--out", str(nodir / "f.ckpt")],
+            "finetune-metrics": ["finetune", *train, "--ckpt", str(ckpt), "--supervision", "c",
+                                 "--out", str(tmp_path / "f.ckpt"),
+                                 "--metrics", str(nodir / "f.jsonl")],
+            "eval": ["eval", "--set", str(toy_set), "--ckpt", str(ckpt),
+                     "--out", str(nodir / "e.json")],
+        }[command]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and solves == []
+        assert json.loads(captured.err) == {"error": "missing_file",
+                                            "detail": f"missing output directory: {nodir}"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.ckpt", "toy.skd",
+                                                              "toy.skd.config.json"]
+
 
 class TestMalformedCheckpoint:
     """Every malformed checkpoint is a format error: exit 4, never a traceback."""
@@ -287,6 +325,31 @@ class TestMalformedCheckpoint:
     def test_empty_metadata_object(self, toy_set, good_ckpt, capsys):
         self.replace_metadata(good_ckpt, b"{}")
         assert self.eval_outcome(toy_set, good_ckpt, capsys) == (4, "format")
+
+    # Each edit leaves valid JSON whose layers disagree with its arch (the
+    # checkpoint has a 3-class head and one trunk layer) or a non-bool flag.
+    DOCTORS = {
+        "class-count": lambda meta: meta["arch"].update(class_count=5),
+        "trunk": lambda meta: meta["arch"].update(trunk=[4, 4]),
+        "activation": lambda meta: meta["layers"][0].update(activation="sigmoid"),
+        "trainable": lambda meta: meta["layers"][0].update(trainable=1),
+    }
+
+    @pytest.mark.parametrize("command", ["eval", "bench", "finetune"])
+    @pytest.mark.parametrize("doctor", sorted(DOCTORS))
+    def test_layers_disagreeing_with_arch_exit_4(self, toy_set, good_ckpt, tmp_path, capsys,
+                                                 doctor, command):
+        meta = json.loads(good_ckpt.read_bytes().split(b"\n")[1])
+        self.DOCTORS[doctor](meta)
+        self.replace_metadata(good_ckpt, json.dumps(meta, sort_keys=True).encode("ascii"))
+        argv = {
+            "eval": ["eval", "--set", str(toy_set), "--task", "identify"],
+            "bench": ["bench"],
+            "finetune": ["finetune", "--set", str(toy_set), "--supervision", "c",
+                         "--epochs", "1", "--out", str(tmp_path / "ft.ckpt")],
+        }[command]
+        assert main(argv + ["--ckpt", str(good_ckpt)]) == 4
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "format"
 
 
 class TestPipeline:
