@@ -9,7 +9,8 @@ so a slow phase of a shared host falls on both sides. T and each metric's
 better direction come from this repository's ``BENCHMARK.json``, so every
 run is as long as the benchmark's own. Prints each pair's change/parent
 ratio per end-to-end metric as it finishes, then each side's median and
-quartiles, the ratio of the medians, how many pairs the change won, whether
+quartiles, the ratio of the medians, the median and quartiles of the
+per-pair ratios (see ``ratio_summary``), how many pairs the change won, whether
 the change's gain in the median is larger than the parent's interquartile
 range, and a verdict against the metric's ``bound`` in ``BENCHMARK.json``
 (see ``verdict``). Each checkout's ``bench/`` is run as it is, never
@@ -48,6 +49,17 @@ def quartiles(values: list[float]) -> tuple[float, float]:
         return values[0], values[0]
     q1, _, q3 = quantiles(values, n=4, method="inclusive")
     return q1, q3
+
+
+def ratio_summary(parent: list[float], change: list[float]) -> tuple[float, float, float]:
+    """Median, first and third quartile of the per-pair change/parent ratios.
+
+    Each ratio compares two runs made back to back, so a phase of the host
+    that slows both sides of a pair cancels in it, while it widens each
+    side's own quartiles.
+    """
+    ratios = [c / p for p, c in zip(parent, change, strict=True)]
+    return median(ratios), *quartiles(ratios)
 
 
 def verdict(parent: list[float], change: list[float], bound: float, lower: bool) -> str:
@@ -100,9 +112,11 @@ def main(argv: list[str] | None = None) -> int:
         wins = sum((ci < pi) if lower else (ci > pi) for pi, ci in zip(p, c))
         (p1, p3), (c1, c3) = quartiles(p), quartiles(c)
         gain = (median(p) - median(c)) * (1 if lower else -1)
+        r, r1, r3 = ratio_summary(p, c)
         print(f"  {name}: parent {median(p):.4f} [{p1:.4f}, {p3:.4f}]  "
               f"change {median(c):.4f} [{c1:.4f}, {c3:.4f}]  "
-              f"ratio {median(c) / median(p):.3f}  change better in {wins}/{len(p)}  "
+              f"ratio {median(c) / median(p):.3f}  "
+              f"pair ratios {r:.3f} [{r1:.3f}, {r3:.3f}]  change better in {wins}/{len(p)}  "
               f"median gain {gain:+.4f} {'>' if gain > p3 - p1 else '<='} "
               f"parent IQR {p3 - p1:.4f}  "
               f"{verdict(p, c, metrics[name]['bound'], lower)} (bound {metrics[name]['bound']})")

@@ -1,4 +1,5 @@
-"""The no-regression verdict of ``scripts/bench_pairs.py`` on hand-built samples."""
+"""The no-regression verdict and the per-pair ratio summary of ``scripts/bench_pairs.py``
+on hand-built samples."""
 
 import importlib.util
 import sys
@@ -42,3 +43,25 @@ NOISY = [2.0, 3.0, 4.0, 5.0, 6.0]
 ])
 def test_verdict(bench_pairs, parent, change, bound, lower, expected):
     assert bench_pairs.verdict(parent, change, bound, lower) == expected
+
+
+# The host runs twice as fast in the first three pairs as in the last three.
+PHASED = [4.0, 4.0, 4.0, 8.0, 8.0, 8.0]
+
+
+@pytest.mark.parametrize("parent,change,expected", [
+    # every pair 10% faster: the ratios agree while the parent's IQR is 4.0
+    (PHASED, [0.9 * v for v in PHASED], (0.9, 0.9, 0.9)),
+    # the change's slow phase covers two more pairs than the parent's
+    (PHASED, [3.6, 7.2, 7.2, 7.2, 7.2, 7.2], (0.9, 0.9, 1.575)),
+    ([1.0, 2.0, 4.0, 8.0, 16.0], [1.1, 1.8, 4.4, 8.0, 16.0], (1.0, 1.0, 1.1)),
+    ([2.0], [3.0], (1.5, 1.5, 1.5)),
+])
+def test_ratio_summary(bench_pairs, parent, change, expected):
+    assert bench_pairs.ratio_summary(parent, change) == pytest.approx(expected)
+
+
+def test_phase_shift_widens_the_parent_iqr_not_the_ratios(bench_pairs):
+    p1, p3 = bench_pairs.quartiles(PHASED)
+    _, r1, r3 = bench_pairs.ratio_summary(PHASED, [0.9 * v for v in PHASED])
+    assert (p3 - p1, r3 - r1) == (4.0, 0.0)
