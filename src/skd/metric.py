@@ -60,7 +60,7 @@ def measure_matrix(A: np.ndarray, B: np.ndarray, mode: str = "cossim") -> np.nda
     """
     if mode not in MEASURES:
         raise ValueError(f"unknown measure mode {mode!r}; expected one of {MEASURES}")
-    if not (np.any(A, axis=1).all() and np.any(B, axis=1).all()):
+    if not (np.any(A, axis=1).all() and (B is A or np.any(B, axis=1).all())):
         raise ValueError("zero-norm vector has no direction")
     UA = unit_rows(A)
     cos = UA @ (UA.copy() if B is A else unit_rows(B)).T
