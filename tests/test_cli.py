@@ -539,6 +539,42 @@ class TestGraphDumpGolden:
         assert sha(tmp_path / "g.txt") == digest
 
 
+class TestEvalGolden:
+    """`skd eval` JSON bytes of every task and tap on a pretrained desk-shape model."""
+
+    DIGESTS = {
+        7: {
+            ("verify", "mimic"): "8b7897a544f974a22f29a93bced76dfd58775d41b692f3080be10c0b7fd0fcfd",
+            ("identify", "mimic"): "fe326ff69f6c0005014abefdddd7131b4867ea133e3f236c9c8c0edd260cb33b",
+            ("retrieve", "mimic"): "57dab017a789fd6be7519f8fb4fb0e4afa8fc77de2771bc7e5d3d109fa45f402",
+            ("retrieve", "identity"):
+                "aa79e944bd951d87512ff48da5fe7c04b23f8d54d6e180d34c7796779ef7ad79",
+        },
+        1811: {
+            ("verify", "mimic"): "fe90837e7e7eaa0afaf8e249d0f4f465578fe17fb27adabc6b5671af9673c2a9",
+            ("identify", "mimic"): "5bf5d02601c3932034e803f4ddea7293bb74d359235a15ed7b3e15ed2d7500ee",
+            ("retrieve", "mimic"): "d40a32ed085acf2e999915d1eddbcd0ce686f46dc2ce68909b23ffbdf679ffc7",
+            ("retrieve", "identity"):
+                "34cb9c30bf91cd9de0b66013c20dee106e7be09cf8760e8f0fa3268bbe9f7723",
+        },
+    }
+    CKPT_PREFIX = {7: "51a64925", 1811: "50231e10"}
+
+    @pytest.mark.parametrize("seed", [7, 1811])
+    def test_digests(self, tmp_path, seed):
+        path, pre = tmp_path / "set.skd", tmp_path / "pre.ckpt"
+        assert main(synth_args(path, classes=10, per_class=30, teacher_dim=128, input_dim=8,
+                               versions=4, noise=0.005, outlier_fraction=0.1, seed=seed)) == 0
+        assert main(["pretrain", "--set", str(path), "--epochs", "40", "--lr", "1e-3",
+                     "--seed", str(seed), "--out", str(pre)]) == 0
+        assert sha(pre).startswith(self.CKPT_PREFIX[seed])
+        for (task, tap), digest in self.DIGESTS[seed].items():
+            out = tmp_path / f"{task}-{tap}.json"
+            assert main(["eval", "--set", str(path), "--ckpt", str(pre), "--task", task,
+                         "--tap", tap, "--seed", str(seed), "--out", str(out)]) == 0
+            assert sha(out) == digest, (task, tap)
+
+
 class TestGoldenTrajectory:
     """Pinned artifacts of a tiny synth -> select -> pretrain -> finetune run.
 
