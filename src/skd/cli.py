@@ -90,10 +90,13 @@ def _require_file(path: str) -> Path:
 
 
 def _require_out_dirs(args) -> None:
-    """FileNotFoundError naming the missing directory of ``--out`` or ``--metrics``."""
+    """FileNotFoundError naming the missing directory of ``--out`` or ``--metrics``,
+    ValueError naming either path when it is a directory."""
     for out in (getattr(args, "out", ""), getattr(args, "metrics", "")):
         if out and not Path(out).parent.is_dir():
             raise FileNotFoundError(f"missing output directory: {Path(out).parent}")
+        if out and Path(out).is_dir():
+            raise ValueError(f"output path is a directory: {out}")
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -145,7 +148,6 @@ def cmd_synth(args) -> int:
     )
     sset = synthesize(config)
     save_student_set(sset, args.out)
-    _write_echo("synth", args, args.out)
     print(f"wrote {len(sset)} records ({sset.C} classes) to {args.out}")
     return EXIT_OK
 
@@ -153,7 +155,6 @@ def cmd_synth(args) -> int:
 def cmd_graph(args) -> int:
     graph = _selection_graph(args)
     dump_graph(graph, args.out)
-    _write_echo("graph", args, args.out)
     print(
         f"wrote graph dump to {args.out} "
         f"({graph.node_count} nodes, {graph.intra_edge_count} intra edges, "
@@ -172,7 +173,6 @@ def cmd_select(args) -> int:
     graph = streamed_selection_graph(features, labels, C, centroids, args.measure)
     mask, e = minimize(graph, args.lam)
     save_mask(args.out, mask, args.lam)
-    _write_echo("select", args, args.out)
     print(
         f"lambda={args.lam}: selected {mask.selected_count}/{len(mask)} "
         f"(energy {e!r}) -> {args.out}"
@@ -185,26 +185,29 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid) if args.grid else default_lambda_grid()
     result = lambda_sweep(graph, grid)
     write_sweep_csv(result, args.out)
-    _write_echo("sweep", args, args.out)
     for e in result.entries:
         print(f"lambda={e.lam:>9} count={e.selected_count:>6} energy={e.optimal_energy:.6g}")
     return EXIT_OK
 
 
+def _train_and_save(args, model, sset, mask=None, **fields):
+    """Train ``model`` under the command's training flags and save it to ``--out``.
+
+    ``fields`` are the TrainConfig fields that have no shared flag. The
+    metrics go to ``--metrics``, by default ``<out>.metrics.jsonl``.
+    """
+    config = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
+                         epochs=args.epochs, seed=args.seed, **fields)
+    metrics = args.metrics or (args.out + ".metrics.jsonl")
+    model = finetune(model, sset, mask, config, metrics_path=metrics)
+    save_checkpoint(model, args.out)
+    return model
+
+
 def cmd_pretrain(args) -> int:
     sset = load_student_set(_require_file(args.set))
     model = init_student(_arch_from_args(sset, args), args.seed)
-    config = TrainConfig(
-        supervision="c",
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        seed=args.seed,
-    )
-    metrics = args.metrics or (args.out + ".metrics.jsonl")
-    model = finetune(model, sset, None, config, metrics_path=metrics)
-    save_checkpoint(model, args.out)
-    _write_echo("pretrain", args, args.out)
+    model = _train_and_save(args, model, sset, supervision="c")
     print(f"pretrained {model.parameter_count()} parameters -> {args.out}")
     return EXIT_OK
 
@@ -215,19 +218,8 @@ def cmd_finetune(args) -> int:
     mask = None
     if args.mask and args.supervision in ("s", "sc"):  # c and dc never read a mask
         mask = load_mask(_require_file(args.mask))[0]
-    config = TrainConfig(
-        supervision=args.supervision,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        seed=args.seed,
-        reg_scale=args.reg_scale,
-        normalize_targets=args.normalize_targets,
-    )
-    metrics = args.metrics or (args.out + ".metrics.jsonl")
-    model = finetune(model, sset, mask, config, metrics_path=metrics)
-    save_checkpoint(model, args.out)
-    _write_echo("finetune", args, args.out)
+    _train_and_save(args, model, sset, mask, supervision=args.supervision,
+                    reg_scale=args.reg_scale, normalize_targets=args.normalize_targets)
     print(f"finetuned ({args.supervision}) -> {args.out}")
     return EXIT_OK
 
@@ -242,18 +234,13 @@ def cmd_eval(args) -> int:
     elif args.task == "identify":
         top1, top5 = evaluate_identification(model, sset)
         payload = {"task": "identify", "top1_error": top1, "top5_error": top5}
-    else:  # retrieve: gallery = first record per class (teacher feature)
-        first = np.array([sset.class_members(c)[0] for c in range(1, sset.C + 1)])
-        gallery = [(rid, sset.features[rid]) for rid in first.tolist()]
-        probe_ids = np.repeat(first[sset.labels - 1], sset.N).tolist()
-        probes = list(zip(probe_ids, sset.inputs.reshape(-1, sset.d_in)))
+    else:
         payload = {"task": "retrieve", "tap": args.tap,
-                   "rank1_accuracy": evaluate_retrieval(model, gallery, probes, tap=args.tap)}
+                   "rank1_accuracy": evaluate_retrieval(model, sset, tap=args.tap)}
     text = json.dumps(payload, sort_keys=True)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")
-        _write_echo("eval", args, args.out)
     return EXIT_OK
 
 
@@ -416,7 +403,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         _require_out_dirs(args)
-        return args.func(args)
+        code = args.func(args)
+        if getattr(args, "out", ""):
+            _write_echo(args.command, args, args.out)
+        return code
     except FileNotFoundError as exc:
         print(json.dumps({"error": "missing_file", "detail": str(exc)}), file=sys.stderr)
         return EXIT_MISSING_FILE

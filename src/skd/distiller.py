@@ -110,10 +110,7 @@ def _full_set(
     else:
         alpha = mask.alpha.astype(np.float64)
 
-    if model.arch.input_dim != sset.d_in:
-        raise ValueError(
-            f"model input dim {model.arch.input_dim} != set input dim {sset.d_in}"
-        )
+    model.require_input_dim(sset.d_in)
     if model.arch.mimic_dim != sset.D:
         raise ValueError(
             f"model mimic dim {model.arch.mimic_dim} != teacher feature dim {sset.D}"

@@ -50,6 +50,8 @@ def evaluate_verification(
     same = np.array([bool(p[2]) for p in pairs])
     if same.all() or not same.any():
         raise ValueError("degenerate pair set: need both positive and negative pairs")
+    model.require_input_dim(A.shape[1])
+    model.require_input_dim(B.shape[1])
     fa = unit_rows(tap_output(model, A, tap))
     fb = unit_rows(tap_output(model, B, tap))
     scores = np.einsum("ij,ij->i", fa, fb)
@@ -62,6 +64,7 @@ def evaluate_identification(model: StudentModel, sset: StudentSet) -> tuple[floa
     Ranking is by descending logit with ties broken toward the lower class
     index (stable sort), so results are deterministic.
     """
+    model.require_input_dim(sset.d_in)
     if sset.C > model.arch.class_count:
         raise ValueError(
             f"set labels reach {sset.C}, model has {model.arch.class_count} classes"
@@ -76,35 +79,21 @@ def evaluate_identification(model: StudentModel, sset: StudentSet) -> tuple[floa
     return top1_error, top5_error
 
 
-def evaluate_retrieval(
-    model: StudentModel,
-    gallery: list[tuple[int, np.ndarray]],
-    probes: list[tuple[int, np.ndarray]],
-    tap: str = "mimic",
-) -> float:
-    """Rank-1 accuracy of probes against a feature gallery.
+def evaluate_retrieval(model: StudentModel, sset: StudentSet, tap: str = "mimic") -> float:
+    """Rank-1 accuracy of every (record, version) input against a class gallery.
 
-    Each probe input runs through the model; its tap feature is matched to the
-    gallery by cosine similarity. Ties go to the lower gallery id.
+    The gallery is each class's first record, as its teacher feature, in
+    record-id order. Each probe's tap feature is matched to the gallery by
+    cosine similarity; ties go to the gallery record with the lower id.
     """
-    if not gallery:
-        raise ValueError("empty gallery")
-    gallery = sorted(gallery, key=lambda g: g[0])
-    gallery_ids = np.array([g[0] for g in gallery])
-    if len(set(gallery_ids.tolist())) != len(gallery_ids):
-        raise ValueError("gallery ids must be unique")
-    G = unit_rows(np.stack([np.asarray(g[1], dtype=np.float64) for g in gallery]))
-    probe_ids = np.array([p[0] for p in probes])
-    missing = set(probe_ids.tolist()) - set(gallery_ids.tolist())
-    if missing:
-        raise ValueError(f"probe ids missing from gallery: {sorted(missing)}")
-    X = np.stack([np.asarray(p[1], dtype=np.float64) for p in probes])
-    F = unit_rows(tap_output(model, X, tap))
+    model.require_input_dim(sset.d_in)
+    first = np.sort(np.unique(sset.labels, return_index=True)[1])
+    G = unit_rows(sset.features[first])
+    F = unit_rows(tap_output(model, sset.inputs.reshape(-1, sset.d_in), tap))
     if F.shape[1] != G.shape[1]:
         raise ValueError(f"tap dim {F.shape[1]} != gallery feature dim {G.shape[1]}")
-    sims = F @ G.T
-    best = np.argmax(sims, axis=1)  # first max wins: lowest gallery id on ties
-    return float(np.mean(gallery_ids[best] == probe_ids))
+    best = np.argmax(F @ G.T, axis=1)  # first max wins: lowest gallery id on ties
+    return float(np.mean(sset.labels[first][best] == np.repeat(sset.labels, sset.N)))
 
 
 def make_verification_pairs(

@@ -139,6 +139,10 @@ class StudentModel:
     def parameter_count(self) -> int:
         return sum(l.parameter_count() for l in self.layers)
 
+    def require_input_dim(self, d_in: int) -> None:
+        if self.arch.input_dim != d_in:
+            raise ValueError(f"model input dim {self.arch.input_dim} != set input dim {d_in}")
+
     def copy(self) -> "StudentModel":
         return StudentModel(replace(self.arch), [l.copy() for l in self.layers], self.seed)
 
@@ -270,7 +274,8 @@ def load_checkpoint(path: str | Path) -> StudentModel:
     """Read a checkpoint; a malformed file raises :class:`FormatError`.
 
     The metadata must describe a valid arch, its layers must be the arch's
-    ``layer_plan()`` in order, and each layer's ``trainable`` a JSON bool.
+    ``layer_plan()`` in order, each layer's ``trainable`` a JSON bool, and
+    the seed, the arch sizes and the layer shapes JSON integers.
     """
     blob = Path(path).read_bytes()
     magic, _, rest = blob.partition(b"\n")
@@ -283,12 +288,15 @@ def load_checkpoint(path: str | Path) -> StudentModel:
         arch_meta["trunk"] = tuple(arch_meta["trunk"])
         arch = StudentArch(**arch_meta)
         arch.validate()
-        seed = int(meta["seed"])
+        seed = meta["seed"]
         layer_meta = [
-            (int(lm["fan_in"]), int(lm["fan_out"]), lm["activation"], lm["name"],
-             lm["trainable"])
+            (lm["fan_in"], lm["fan_out"], lm["activation"], lm["name"], lm["trainable"])
             for lm in meta["layers"]
         ]
+        sizes = [seed, arch.input_dim, arch.mimic_dim, arch.class_count, arch.identity_dim,
+                 *arch.trunk, *(size for m in layer_meta for size in m[:2])]
+        if not all(type(size) is int for size in sizes):
+            raise ValueError("the seed, arch sizes and layer shapes must be JSON integers")
         if [m[:4] for m in layer_meta] != arch.layer_plan():
             raise ValueError("layers do not match the arch's layer plan")
         if not all(isinstance(m[4], bool) for m in layer_meta):

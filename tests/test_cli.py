@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import skd
-from skd import mincut
+from skd import distiller, mincut
 from skd.cli import _parse_grid, main
 from skd.dataset import load_student_set, save_student_set
 from skd.distiller import total_loss
@@ -288,6 +288,57 @@ class TestErrors:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.ckpt", "toy.skd",
                                                               "toy.skd.config.json"]
 
+    @pytest.mark.parametrize("command", ["synth", "graph", "select", "sweep", "pretrain",
+                                         "pretrain-metrics", "finetune", "finetune-metrics",
+                                         "eval"])
+    def test_output_path_that_is_a_directory_exit_5_before_any_work(
+            self, toy_set, tmp_path, capsys, monkeypatch, command):
+        ckpt = tmp_path / "s.ckpt"
+        save_checkpoint(init_student(StudentArch(input_dim=3, mimic_dim=8, class_count=3,
+                                                 trunk=(4,), identity_dim=4), seed=0), ckpt)
+        calls = []
+        for module, name in ((mincut, "minimize"), (skd.cli, "minimize"),
+                             (distiller, "finetune"), (skd.cli, "finetune")):
+            monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args))
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        train = ["--set", str(toy_set), "--epochs", "1"]
+        argv = {
+            "synth": synth_args(adir),
+            "graph": ["graph", "dump", "--set", str(toy_set), "--out", str(adir)],
+            "select": ["select", "--set", str(toy_set), "--lambda", "-1", "--out", str(adir)],
+            "sweep": ["sweep", "--set", str(toy_set), "--out", str(adir)],
+            "pretrain": ["pretrain", *train, "--out", str(adir)],
+            "pretrain-metrics": ["pretrain", *train, "--out", str(tmp_path / "p.ckpt"),
+                                 "--metrics", str(adir)],
+            "finetune": ["finetune", *train, "--ckpt", str(ckpt), "--supervision", "c",
+                         "--out", str(adir)],
+            "finetune-metrics": ["finetune", *train, "--ckpt", str(ckpt), "--supervision", "c",
+                                 "--out", str(tmp_path / "f.ckpt"), "--metrics", str(adir)],
+            "eval": ["eval", "--set", str(toy_set), "--ckpt", str(ckpt), "--out", str(adir)],
+        }[command]
+        assert main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and calls == []
+        assert json.loads(captured.err) == {"error": "invalid",
+                                            "detail": f"output path is a directory: {adir}"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "s.ckpt", "toy.skd",
+                                                              "toy.skd.config.json"]
+        assert list(adir.iterdir()) == []
+
+    @pytest.mark.parametrize("task", ["verify", "identify", "retrieve"])
+    def test_input_width_mismatch_exit_5(self, tmp_path, capsys, task):
+        path, ckpt = tmp_path / "narrow.skd", tmp_path / "s.ckpt"
+        assert main(synth_args(path, input_dim=1)) == 0
+        save_checkpoint(init_student(StudentArch(input_dim=3, mimic_dim=8, class_count=3,
+                                                 trunk=(4,), identity_dim=4), seed=0), ckpt)
+        capsys.readouterr()
+        assert main(["eval", "--set", str(path), "--ckpt", str(ckpt), "--task", task]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "invalid",
+                                            "detail": "model input dim 3 != set input dim 1"}
+
 
 class TestMalformedCheckpoint:
     """Every malformed checkpoint is a format error: exit 4, never a traceback."""
@@ -335,12 +386,34 @@ class TestMalformedCheckpoint:
         "trainable": lambda meta: meta["layers"][0].update(trainable=1),
     }
 
+    # Each edit leaves a float or a bool where a JSON integer belongs; int()
+    # would read each as a plausible size or seed.
+    NON_INTEGERS = {
+        "seed-float": lambda meta: meta.update(seed=7.9),
+        "seed-bool": lambda meta: meta.update(seed=True),
+        "input-dim-float": lambda meta: (meta["arch"].update(input_dim=3.0),
+                                         meta["layers"][0].update(fan_in=3.0)),
+        "trunk-float": lambda meta: meta["arch"].update(trunk=[4.0]),
+        "fan-out-float": lambda meta: meta["layers"][-1].update(fan_out=3.0),
+    }
+
     @pytest.mark.parametrize("command", ["eval", "bench", "finetune"])
     @pytest.mark.parametrize("doctor", sorted(DOCTORS))
     def test_layers_disagreeing_with_arch_exit_4(self, toy_set, good_ckpt, tmp_path, capsys,
                                                  doctor, command):
+        self.assert_doctored_exit_4(self.DOCTORS[doctor], command, toy_set, good_ckpt,
+                                    tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["eval", "bench", "finetune"])
+    @pytest.mark.parametrize("doctor", sorted(NON_INTEGERS))
+    def test_non_integer_sizes_exit_4(self, toy_set, good_ckpt, tmp_path, capsys,
+                                      doctor, command):
+        self.assert_doctored_exit_4(self.NON_INTEGERS[doctor], command, toy_set, good_ckpt,
+                                    tmp_path, capsys)
+
+    def assert_doctored_exit_4(self, doctor, command, toy_set, good_ckpt, tmp_path, capsys):
         meta = json.loads(good_ckpt.read_bytes().split(b"\n")[1])
-        self.DOCTORS[doctor](meta)
+        doctor(meta)
         self.replace_metadata(good_ckpt, json.dumps(meta, sort_keys=True).encode("ascii"))
         argv = {
             "eval": ["eval", "--set", str(toy_set), "--task", "identify"],

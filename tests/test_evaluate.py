@@ -151,59 +151,58 @@ class TestIdentification:
             evaluate_identification(m, sset)
 
 
+def retrieval_set(labels, features, inputs):
+    """A set of the given records; ``inputs`` holds each record's versions."""
+    labels = np.asarray(labels)
+    return StudentSet(labels, features, inputs, C=int(labels.max()))
+
+
 class TestRetrieval:
     def test_probes_equal_gallery(self):
         m = identity_model(3)
-        rng = np.random.default_rng(0)
-        gallery = [(i, rng.normal(size=3)) for i in range(5)]
-        probes = [(i, v) for i, v in gallery]
-        assert evaluate_retrieval(m, gallery, probes) == 1.0
+        features = np.random.default_rng(0).normal(size=(5, 3))
+        sset = retrieval_set(np.arange(1, 6), features, features[:, None, :])
+        assert evaluate_retrieval(m, sset) == 1.0
 
     def test_single_entry_gallery(self):
         m = identity_model(2)
-        gallery = [(3, np.array([1.0, 0.0]))]
-        probes = [(3, np.array([0.0, 1.0])), (3, np.array([0.5, 0.5]))]
-        assert evaluate_retrieval(m, gallery, probes) == 1.0
+        inputs = np.array([[[1.0, 0.0]], [[0.0, 1.0]], [[0.5, 0.5]]])
+        sset = retrieval_set([1, 1, 1], np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), inputs)
+        assert evaluate_retrieval(m, sset) == 1.0
 
     def test_tie_goes_to_lower_gallery_id(self):
+        # records are not grouped by class: the gallery is records 0 (class 2)
+        # and 1 (class 1), with identical features, so every probe matches
+        # record 0 and only the three class-2 probes are right
         m = identity_model(2)
         v = np.array([1.0, 0.0])
-        gallery = [(9, v), (2, v.copy())]  # identical features, ids 2 and 9
-        probes = [(2, v), (9, v)]
-        # both probes match gallery id 2 (the lower id)
-        assert evaluate_retrieval(m, gallery, probes) == 0.5
+        sset = retrieval_set([2, 1, 2, 1, 2], np.tile(v, (5, 1)), np.tile(v, (5, 2, 1)))
+        assert evaluate_retrieval(m, sset) == 0.6
 
     def test_matches_bruteforce_oracle(self):
         dim = 4
         m = identity_model(dim)
         rng = np.random.default_rng(1)
-        gallery = [(i, rng.normal(size=dim)) for i in range(80)]
-        probes = [(int(rng.integers(80)), rng.normal(size=dim)) for _ in range(1200)]
-        acc = evaluate_retrieval(m, gallery, probes)
-        feats = tap_output(m, np.stack([p[1] for p in probes]), "mimic")
-        hits = 0
-        for (pid, _), f in zip(probes, feats):
-            best_id, best_s = None, -np.inf
-            for gid, gv in sorted(gallery):
-                s = float(f @ gv / (np.linalg.norm(f) * np.linalg.norm(gv)))
-                if s > best_s:
-                    best_id, best_s = gid, s
-            hits += best_id == pid
-        assert acc == pytest.approx(hits / len(probes), abs=0)
-
-    def test_empty_gallery(self):
-        with pytest.raises(ValueError, match="empty gallery"):
-            evaluate_retrieval(identity_model(2), [], [(0, np.ones(2))])
-
-    def test_unknown_probe_id(self):
-        m = identity_model(2)
-        with pytest.raises(ValueError, match="missing"):
-            evaluate_retrieval(m, [(0, np.ones(2))], [(1, np.ones(2))])
-
-    def test_duplicate_gallery_ids(self):
-        m = identity_model(2)
-        with pytest.raises(ValueError, match="unique"):
-            evaluate_retrieval(m, [(0, np.ones(2)), (0, np.ones(2))], [(0, np.ones(2))])
+        labels = rng.permutation(np.repeat(np.arange(1, 21), 4))
+        sset = retrieval_set(labels, rng.normal(size=(80, dim)), rng.normal(size=(80, 3, dim)))
+        gallery = {}
+        for rid, label in enumerate(labels.tolist()):
+            gallery.setdefault(label, rid)
+        # the gallery's record order is not its class order
+        assert list(gallery) != sorted(gallery)
+        for tap in ("mimic", "identity"):
+            hits = total = 0
+            for label, xs in zip(labels, sset.inputs):
+                for f in tap_output(m, xs, tap):
+                    best_id, best_s = None, -np.inf
+                    for gid in sorted(gallery.values()):
+                        gv = sset.features[gid]
+                        s = float(f @ gv / (np.linalg.norm(f) * np.linalg.norm(gv)))
+                        if s > best_s:
+                            best_id, best_s = gid, s
+                    hits += labels[best_id] == label
+                    total += 1
+            assert evaluate_retrieval(m, sset, tap) == pytest.approx(hits / total, abs=0), tap
 
 
 @pytest.mark.parametrize("k", [0, 600, -600])
@@ -216,5 +215,6 @@ def test_scores_do_not_depend_on_the_tap_magnitude(k):
     pairs = [(np.ldexp(a, k), np.ldexp(b, k), ca == cb)
              for (ca, a), (cb, b) in itertools.combinations(members, 2)]
     assert evaluate_verification(m, pairs) == 1.0
-    gallery = [(c, np.eye(4)[c]) for c in range(4)]
-    assert evaluate_retrieval(m, gallery, [(c, np.ldexp(v, k)) for c, v in members]) == 1.0
+    sset = retrieval_set([c + 1 for c, _ in members], np.eye(4)[[c for c, _ in members]],
+                         np.stack([np.ldexp(v, k) for _, v in members])[:, None, :])
+    assert evaluate_retrieval(m, sset) == 1.0
