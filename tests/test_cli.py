@@ -250,49 +250,13 @@ class TestErrors:
     def test_usage_error_exit_2(self):
         assert main(["select"]) == 2
 
-    @pytest.mark.parametrize("command", ["synth", "graph", "select", "sweep", "pretrain",
-                                         "pretrain-metrics", "finetune", "finetune-metrics",
-                                         "eval"])
-    def test_missing_output_directory_exit_3_before_any_work(self, toy_set, tmp_path, capsys,
-                                                             monkeypatch, command):
-        ckpt = tmp_path / "s.ckpt"
-        save_checkpoint(init_student(StudentArch(input_dim=3, mimic_dim=8, class_count=3,
-                                                 trunk=(4,), identity_dim=4), seed=0), ckpt)
-        solves = []
-        for module in (mincut, skd.cli):
-            monkeypatch.setattr(module, "minimize", lambda *args: solves.append(args))
-        nodir = tmp_path / "nodir"
-        train = ["--set", str(toy_set), "--epochs", "1"]
-        argv = {
-            "synth": synth_args(nodir / "s.skd"),
-            "graph": ["graph", "dump", "--set", str(toy_set), "--out", str(nodir / "g.txt")],
-            "select": ["select", "--set", str(toy_set), "--lambda", "-1",
-                       "--out", str(nodir / "m.mask")],
-            "sweep": ["sweep", "--set", str(toy_set), "--out", str(nodir / "s.csv")],
-            "pretrain": ["pretrain", *train, "--out", str(nodir / "p.ckpt")],
-            "pretrain-metrics": ["pretrain", *train, "--out", str(tmp_path / "p.ckpt"),
-                                 "--metrics", str(nodir / "p.jsonl")],
-            "finetune": ["finetune", *train, "--ckpt", str(ckpt), "--supervision", "c",
-                         "--out", str(nodir / "f.ckpt")],
-            "finetune-metrics": ["finetune", *train, "--ckpt", str(ckpt), "--supervision", "c",
-                                 "--out", str(tmp_path / "f.ckpt"),
-                                 "--metrics", str(nodir / "f.jsonl")],
-            "eval": ["eval", "--set", str(toy_set), "--ckpt", str(ckpt),
-                     "--out", str(nodir / "e.json")],
-        }[command]
-        assert main(argv) == 3
-        captured = capsys.readouterr()
-        assert captured.out == "" and solves == []
-        assert json.loads(captured.err) == {"error": "missing_file",
-                                            "detail": f"missing output directory: {nodir}"}
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.ckpt", "toy.skd",
-                                                              "toy.skd.config.json"]
+    WRITERS = ["synth", "graph", "select", "sweep", "pretrain", "pretrain-metrics", "finetune",
+               "finetune-metrics", "eval"]
 
-    @pytest.mark.parametrize("command", ["synth", "graph", "select", "sweep", "pretrain",
-                                         "pretrain-metrics", "finetune", "finetune-metrics",
-                                         "eval"])
-    def test_output_path_that_is_a_directory_exit_5_before_any_work(
-            self, toy_set, tmp_path, capsys, monkeypatch, command):
+    @staticmethod
+    def run_writer(command, out, toy_set, tmp_path, capsys, monkeypatch):
+        """(exit code, captured output) of ``command`` writing ``out``, its ``--out``
+        or, for a ``-metrics`` case, its ``--metrics``; no solve or training may run."""
         ckpt = tmp_path / "s.ckpt"
         save_checkpoint(init_student(StudentArch(input_dim=3, mimic_dim=8, class_count=3,
                                                  trunk=(4,), identity_dim=4), seed=0), ckpt)
@@ -300,28 +264,44 @@ class TestErrors:
         for module, name in ((mincut, "minimize"), (skd.cli, "minimize"),
                              (distiller, "finetune"), (skd.cli, "finetune")):
             monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args))
-        adir = tmp_path / "adir"
-        adir.mkdir()
         train = ["--set", str(toy_set), "--epochs", "1"]
+        finetune = ["finetune", *train, "--ckpt", str(ckpt), "--supervision", "c"]
         argv = {
-            "synth": synth_args(adir),
-            "graph": ["graph", "dump", "--set", str(toy_set), "--out", str(adir)],
-            "select": ["select", "--set", str(toy_set), "--lambda", "-1", "--out", str(adir)],
-            "sweep": ["sweep", "--set", str(toy_set), "--out", str(adir)],
-            "pretrain": ["pretrain", *train, "--out", str(adir)],
+            "synth": synth_args(out),
+            "graph": ["graph", "dump", "--set", str(toy_set), "--out", str(out)],
+            "select": ["select", "--set", str(toy_set), "--lambda", "-1", "--out", str(out)],
+            "sweep": ["sweep", "--set", str(toy_set), "--out", str(out)],
+            "pretrain": ["pretrain", *train, "--out", str(out)],
             "pretrain-metrics": ["pretrain", *train, "--out", str(tmp_path / "p.ckpt"),
-                                 "--metrics", str(adir)],
-            "finetune": ["finetune", *train, "--ckpt", str(ckpt), "--supervision", "c",
-                         "--out", str(adir)],
-            "finetune-metrics": ["finetune", *train, "--ckpt", str(ckpt), "--supervision", "c",
-                                 "--out", str(tmp_path / "f.ckpt"), "--metrics", str(adir)],
-            "eval": ["eval", "--set", str(toy_set), "--ckpt", str(ckpt), "--out", str(adir)],
+                                 "--metrics", str(out)],
+            "finetune": [*finetune, "--out", str(out)],
+            "finetune-metrics": [*finetune, "--out", str(tmp_path / "f.ckpt"),
+                                 "--metrics", str(out)],
+            "eval": ["eval", "--set", str(toy_set), "--ckpt", str(ckpt), "--out", str(out)],
         }[command]
-        assert main(argv) == 5
+        code = main(argv)
         captured = capsys.readouterr()
         assert captured.out == "" and calls == []
-        assert json.loads(captured.err) == {"error": "invalid",
-                                            "detail": f"output path is a directory: {adir}"}
+        return code, json.loads(captured.err)
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_missing_output_directory_exit_3_before_any_work(self, toy_set, tmp_path, capsys,
+                                                             monkeypatch, command):
+        nodir = tmp_path / "nodir"
+        assert self.run_writer(command, nodir / "out", toy_set, tmp_path, capsys,
+                               monkeypatch) == (3, {"error": "missing_file",
+                                                    "detail": f"missing output directory: {nodir}"})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.ckpt", "toy.skd",
+                                                              "toy.skd.config.json"]
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_output_path_that_is_a_directory_exit_5_before_any_work(
+            self, toy_set, tmp_path, capsys, monkeypatch, command):
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        assert self.run_writer(command, adir, toy_set, tmp_path, capsys,
+                               monkeypatch) == (5, {"error": "invalid",
+                                                    "detail": f"output path is a directory: {adir}"})
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "s.ckpt", "toy.skd",
                                                               "toy.skd.config.json"]
         assert list(adir.iterdir()) == []
