@@ -1,5 +1,8 @@
 """Desk-scale synthetic benchmark shared by the acceptance suite and scripts.
 
+Every set, student and training run of its two studies comes from one of
+``_mother``, ``_student`` and ``_train``, so the recipe is written once.
+
 One benchmark instance is a 10-class / 30-records-per-class training set with
 10% planted outliers, carved out of a slightly larger mother set so that a
 held-out inlier evaluation split (and its frozen verification pair set) comes
@@ -9,8 +12,6 @@ from the same class geometry and degradation projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dataset import StudentSet, SynthConfig, subset_classes, subset_records, synthesize
 from .distiller import TrainConfig, finetune, transfer_student
@@ -24,8 +25,6 @@ __all__ = [
     "Benchmark",
     "make_benchmark",
     "select_informative",
-    "pretrain_variant",
-    "train_variant",
     "supervision_comparison",
     "transfer_comparison",
     "SELECT_LAMBDA",
@@ -53,6 +52,29 @@ LEARNING_RATE = 1e-3
 BATCH_SIZE = 32
 
 
+def _mother(C: int, per_class: int, outlier_fraction: float, seed: int) -> StudentSet:
+    """A synthetic set of the benchmark's shape."""
+    return synthesize(SynthConfig(
+        C=C, per_class_count=per_class, D=BENCH_D, d_in=BENCH_D_IN, N=BENCH_N,
+        noise_scale=BENCH_NOISE, outlier_fraction=outlier_fraction, seed=seed,
+    ))
+
+
+def _student(sset: StudentSet, seed: int) -> StudentModel:
+    """A fresh default-architecture student sized to ``sset``."""
+    arch = StudentArch(input_dim=sset.d_in, mimic_dim=sset.D, class_count=sset.C)
+    return init_student(arch, seed)
+
+
+def _train(model: StudentModel, sset: StudentSet, mask: SelectionMask | None,
+           supervision: str, epochs: int, seed: int) -> StudentModel:
+    """One training run at the benchmark's learning rate and batch size."""
+    return finetune(model, sset, mask, TrainConfig(
+        supervision=supervision, learning_rate=LEARNING_RATE, batch_size=BATCH_SIZE,
+        epochs=epochs, seed=seed,
+    ))
+
+
 @dataclass
 class Benchmark:
     train_set: StudentSet    # C=10, 30/class, 10% planted outliers
@@ -60,20 +82,8 @@ class Benchmark:
 
 
 def make_benchmark(seed: int) -> Benchmark:
-    mother = synthesize(
-        SynthConfig(
-            C=10,
-            per_class_count=MOTHER_PER_CLASS,
-            D=BENCH_D,
-            d_in=BENCH_D_IN,
-            N=BENCH_N,
-            noise_scale=BENCH_NOISE,
-            outlier_fraction=MOTHER_OUTLIER_FRACTION,
-            seed=seed,
-        )
-    )
-    train_ids: list[int] = []
-    eval_ids: list[int] = []
+    mother = _mother(10, MOTHER_PER_CLASS, MOTHER_OUTLIER_FRACTION, seed)
+    train_ids, eval_ids = [], []
     for c in range(1, mother.C + 1):
         members = mother.class_members(c)
         # An unknown flag (-1) counts as an inlier.
@@ -87,53 +97,24 @@ def make_benchmark(seed: int) -> Benchmark:
     return Benchmark(train_set=train_set, eval_pairs=pairs)
 
 
-def select_informative(sset: StudentSet, lam: float = SELECT_LAMBDA) -> SelectionMask:
-    graph = build_selection_graph(sset, class_centroids(sset))
-    mask, _ = minimize(graph, lam)
+def select_informative(sset: StudentSet) -> SelectionMask:
+    """The selection mask of ``sset`` at ``SELECT_LAMBDA``."""
+    mask, _ = minimize(build_selection_graph(sset, class_centroids(sset)), SELECT_LAMBDA)
     return mask
 
 
-def pretrain_variant(bench: Benchmark, seed: int) -> StudentModel:
-    """Classification pretraining shared by every supervision variant."""
-    sset = bench.train_set
-    model = init_student(
-        StudentArch(input_dim=sset.d_in, mimic_dim=sset.D, class_count=sset.C), seed
-    )
-    pre_cfg = TrainConfig(
-        supervision="c", learning_rate=LEARNING_RATE, batch_size=BATCH_SIZE,
-        epochs=PRETRAIN_EPOCHS, seed=seed,
-    )
-    return finetune(model, sset, None, pre_cfg)
-
-
-def train_variant(
-    bench: Benchmark,
-    pretrained: StudentModel,
-    supervision: str,
-    seed: int,
-    mask: SelectionMask,
-) -> tuple[StudentModel, float]:
-    """Finetune ``pretrain_variant(bench, seed)``'s model under one supervision
-    variant; returns (model, AUC)."""
-    fine_cfg = TrainConfig(
-        supervision=supervision, learning_rate=LEARNING_RATE, batch_size=BATCH_SIZE,
-        epochs=FINETUNE_EPOCHS, seed=seed + 1,
-    )
-    model = finetune(pretrained, bench.train_set, mask, fine_cfg)
-    auc = evaluate_verification(model, bench.eval_pairs, tap="mimic")
-    return model, auc
-
-
 def supervision_comparison(seeds: list[int], modes: tuple[str, ...] = ("c", "sc", "dc")):
-    """Verification AUC per supervision mode over benchmark seeds."""
+    """Verification AUC per supervision mode over benchmark seeds, every mode
+    fine-tuning one student pretrained per seed."""
     results: dict[str, list[float]] = {m: [] for m in modes}
     for seed in seeds:
         bench = make_benchmark(seed)
-        mask = select_informative(bench.train_set)
-        pretrained = pretrain_variant(bench, seed + 7)
+        sset = bench.train_set
+        mask = select_informative(sset)
+        pretrained = _train(_student(sset, seed + 7), sset, None, "c", PRETRAIN_EPOCHS, seed + 7)
         for mode in modes:
-            _, auc = train_variant(bench, pretrained, mode, seed + 7, mask)
-            results[mode].append(auc)
+            model = _train(pretrained, sset, mask, mode, FINETUNE_EPOCHS, seed + 8)
+            results[mode].append(evaluate_verification(model, bench.eval_pairs, tap="mimic"))
     return results
 
 
@@ -148,69 +129,27 @@ TRANSFER_SOURCE_FINETUNE_EPOCHS = 150
 TRANSFER_TARGET_EPOCHS = 40
 
 
-def _transfer_sets(seed: int) -> tuple[StudentSet, StudentSet, StudentSet]:
-    """(source, target training split, target evaluation split)."""
-    mother = synthesize(
-        SynthConfig(
-            C=TRANSFER_SOURCE_CLASSES + TRANSFER_TARGET_CLASSES,
-            per_class_count=TRANSFER_PER_CLASS,
-            D=BENCH_D,
-            d_in=BENCH_D_IN,
-            N=BENCH_N,
-            noise_scale=BENCH_NOISE,
-            outlier_fraction=0.0,
-            seed=seed,
-        )
-    )
-    source = subset_classes(mother, list(range(1, TRANSFER_SOURCE_CLASSES + 1)))
-    target = subset_classes(
-        mother,
-        list(range(TRANSFER_SOURCE_CLASSES + 1,
-                   TRANSFER_SOURCE_CLASSES + TRANSFER_TARGET_CLASSES + 1)),
-    )
-    train_ids: list[int] = []
-    eval_ids: list[int] = []
+def transfer_comparison(seed: int) -> tuple[float, float]:
+    """Top-1 error on held-out classes: (transferred, from scratch)."""
+    S, T = TRANSFER_SOURCE_CLASSES, TRANSFER_TARGET_CLASSES
+    mother = _mother(S + T, TRANSFER_PER_CLASS, 0.0, seed)
+    source_set = subset_classes(mother, list(range(1, S + 1)))
+    target = subset_classes(mother, list(range(S + 1, S + T + 1)))
+    train_ids, eval_ids = [], []
     for c in range(1, target.C + 1):
         members = target.class_members(c)
         train_ids += members[:TRANSFER_TARGET_TRAIN_PER_CLASS]
         eval_ids += members[TRANSFER_TARGET_TRAIN_PER_CLASS:]
-    return source, subset_records(target, train_ids), subset_records(target, eval_ids)
+    target_train = subset_records(target, train_ids)
+    target_eval = subset_records(target, eval_ids)
 
-
-def transfer_comparison(seed: int) -> tuple[float, float]:
-    """Top-1 error on held-out classes: (transferred, from scratch)."""
-    source_set, target_train, target_eval = _transfer_sets(seed)
-    source = init_student(
-        StudentArch(input_dim=source_set.d_in, mimic_dim=source_set.D, class_count=source_set.C),
-        seed,
-    )
-    source = finetune(
-        source, source_set, None,
-        TrainConfig(supervision="c", learning_rate=LEARNING_RATE,
-                    batch_size=BATCH_SIZE, epochs=PRETRAIN_EPOCHS, seed=seed),
-    )
+    source = _train(_student(source_set, seed), source_set, None, "c", PRETRAIN_EPOCHS, seed)
     mask = select_informative(source_set)
-    source = finetune(
-        source, source_set, mask,
-        TrainConfig(supervision="sc", learning_rate=LEARNING_RATE, batch_size=BATCH_SIZE,
-                    epochs=TRANSFER_SOURCE_FINETUNE_EPOCHS, seed=seed + 1),
-    )
-
-    target_cfg = TrainConfig(
-        supervision="c", learning_rate=LEARNING_RATE, batch_size=BATCH_SIZE,
-        epochs=TRANSFER_TARGET_EPOCHS, seed=seed + 2,
-    )
+    source = _train(source, source_set, mask, "sc", TRANSFER_SOURCE_FINETUNE_EPOCHS, seed + 1)
     transferred = transfer_student(source, new_class_count=target_train.C, seed=seed + 3)
-    transferred = finetune(transferred, target_train, None, target_cfg)
-
-    scratch = init_student(
-        StudentArch(
-            input_dim=target_train.d_in, mimic_dim=target_train.D, class_count=target_train.C
-        ),
-        seed + 4,
-    )
-    scratch = finetune(scratch, target_train, None, target_cfg)
-
+    transferred = _train(transferred, target_train, None, "c", TRANSFER_TARGET_EPOCHS, seed + 2)
+    scratch = _student(target_train, seed + 4)
+    scratch = _train(scratch, target_train, None, "c", TRANSFER_TARGET_EPOCHS, seed + 2)
     t_err, _ = evaluate_identification(transferred, target_eval)
     s_err, _ = evaluate_identification(scratch, target_eval)
     return t_err, s_err

@@ -4,13 +4,7 @@ Every command that writes files also writes a resolved-config echo
 (<out>.config.json); ``skd rerun <echo>`` replays it and reproduces the
 outputs byte for byte.
 
-Exit codes:
-  0  success
-  2  usage error (bad flags)
-  3  missing input file or output directory
-  4  malformed input file (parse error)
-  5  invalid configuration or invariant violation
-  6  numeric failure during training
+Exit codes: ``EXIT_CODES`` below, which ``skd --help`` prints.
 """
 
 from __future__ import annotations
@@ -62,18 +56,24 @@ EXIT_FORMAT = 4
 EXIT_INVALID = 5
 EXIT_NUMERIC = 6
 
-EPILOG = """exit codes:
-  0  success
-  2  usage error
-  3  missing input file or output directory
-  4  malformed input file
-  5  invalid configuration or invariant violation
-  6  numeric failure during training
-"""
+EXIT_CODES = {
+    EXIT_OK: "success",
+    EXIT_USAGE: "usage error",
+    EXIT_MISSING_FILE: "missing input file or output directory",
+    EXIT_FORMAT: "malformed input file",
+    EXIT_INVALID: "invalid configuration or invariant violation",
+    EXIT_NUMERIC: "numeric failure during training",
+}
+EPILOG = "exit codes:\n" + "".join(f"  {code}  {text}\n" for code, text in EXIT_CODES.items())
 
 
 def _echo_path(out: str) -> Path:
     return Path(str(out) + ".config.json")
+
+
+def _metrics_path(args) -> str:
+    """``--metrics``, by default ``<out>.metrics.jsonl``."""
+    return args.metrics or args.out + ".metrics.jsonl"
 
 
 def _write_echo(command: str, args: argparse.Namespace, out: str) -> None:
@@ -90,13 +90,18 @@ def _require_file(path: str) -> Path:
 
 
 def _require_out_dirs(args) -> None:
-    """FileNotFoundError naming the missing directory of ``--out`` or ``--metrics``,
-    ValueError naming either path when it is a directory."""
-    for out in (getattr(args, "out", ""), getattr(args, "metrics", "")):
-        if out and not Path(out).parent.is_dir():
-            raise FileNotFoundError(f"missing output directory: {Path(out).parent}")
-        if out and Path(out).is_dir():
-            raise ValueError(f"output path is a directory: {out}")
+    """FileNotFoundError naming the missing directory of a path the command
+    writes (``--out``, its config echo and the training commands' metrics
+    file), ValueError naming such a path that is a directory."""
+    out = getattr(args, "out", "")
+    paths = [out, str(_echo_path(out))] if out else []
+    if hasattr(args, "metrics"):  # pretrain and finetune, whose --out is required
+        paths.append(_metrics_path(args))
+    for path in paths:
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"missing output directory: {Path(path).parent}")
+        if Path(path).is_dir():
+            raise ValueError(f"output path is a directory: {path}")
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -193,13 +198,11 @@ def cmd_sweep(args) -> int:
 def _train_and_save(args, model, sset, mask=None, **fields):
     """Train ``model`` under the command's training flags and save it to ``--out``.
 
-    ``fields`` are the TrainConfig fields that have no shared flag. The
-    metrics go to ``--metrics``, by default ``<out>.metrics.jsonl``.
+    ``fields`` are the TrainConfig fields that have no shared flag.
     """
     config = TrainConfig(learning_rate=args.lr, batch_size=args.batch_size,
                          epochs=args.epochs, seed=args.seed, **fields)
-    metrics = args.metrics or (args.out + ".metrics.jsonl")
-    model = finetune(model, sset, mask, config, metrics_path=metrics)
+    model = finetune(model, sset, mask, config, metrics_path=_metrics_path(args))
     save_checkpoint(model, args.out)
     return model
 

@@ -252,11 +252,23 @@ class TestErrors:
 
     WRITERS = ["synth", "graph", "select", "sweep", "pretrain", "pretrain-metrics", "finetune",
                "finetune-metrics", "eval"]
+    # Paths the CLI derives from --out: each writer's config echo and the training
+    # commands' default metrics file, as (command, suffix). A derived path shares
+    # the --out directory, so only the is-a-directory test can single it out.
+    DERIVED = {
+        **{f"{c}-echo": (c, ".config.json")
+           for c in ("synth", "graph", "select", "sweep", "pretrain", "finetune", "eval")},
+        "pretrain-default-metrics": ("pretrain", ".metrics.jsonl"),
+        "finetune-default-metrics": ("finetune", ".metrics.jsonl"),
+    }
 
-    @staticmethod
-    def run_writer(command, out, toy_set, tmp_path, capsys, monkeypatch):
-        """(exit code, captured output) of ``command`` writing ``out``, its ``--out``
-        or, for a ``-metrics`` case, its ``--metrics``; no solve or training may run."""
+    @classmethod
+    def run_writer(cls, case, out, toy_set, tmp_path, capsys, monkeypatch):
+        """(exit code, captured output) of ``case`` writing ``out``: its ``--out``,
+        for a ``-metrics`` case its ``--metrics``, and for a ``DERIVED`` case the
+        path it derives from ``--out``; no solve or training may run."""
+        case, suffix = cls.DERIVED.get(case, (case, ""))
+        out = str(out).removesuffix(suffix)
         ckpt = tmp_path / "s.ckpt"
         save_checkpoint(init_student(StudentArch(input_dim=3, mimic_dim=8, class_count=3,
                                                  trunk=(4,), identity_dim=4), seed=0), ckpt)
@@ -278,7 +290,7 @@ class TestErrors:
             "finetune-metrics": [*finetune, "--out", str(tmp_path / "f.ckpt"),
                                  "--metrics", str(out)],
             "eval": ["eval", "--set", str(toy_set), "--ckpt", str(ckpt), "--out", str(out)],
-        }[command]
+        }[case]
         code = main(argv)
         captured = capsys.readouterr()
         assert captured.out == "" and calls == []
@@ -294,16 +306,16 @@ class TestErrors:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.ckpt", "toy.skd",
                                                               "toy.skd.config.json"]
 
-    @pytest.mark.parametrize("command", WRITERS)
+    @pytest.mark.parametrize("command", WRITERS + list(DERIVED))
     def test_output_path_that_is_a_directory_exit_5_before_any_work(
             self, toy_set, tmp_path, capsys, monkeypatch, command):
-        adir = tmp_path / "adir"
+        adir = tmp_path / ("adir" + self.DERIVED.get(command, (command, ""))[1])
         adir.mkdir()
         assert self.run_writer(command, adir, toy_set, tmp_path, capsys,
                                monkeypatch) == (5, {"error": "invalid",
                                                     "detail": f"output path is a directory: {adir}"})
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "s.ckpt", "toy.skd",
-                                                              "toy.skd.config.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [adir.name, "s.ckpt", "toy.skd", "toy.skd.config.json"])
         assert list(adir.iterdir()) == []
 
     @pytest.mark.parametrize("task", ["verify", "identify", "retrieve"])
