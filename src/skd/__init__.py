@@ -43,7 +43,7 @@ from .evaluate import (
     evaluate_verification,
     make_verification_pairs,
 )
-from .metric import MEASURES, class_centroids, pairwise_measure
+from .metric import MEASURES, class_centroids
 from .mincut import (
     SweepEntry,
     SweepResult,
@@ -66,8 +66,6 @@ from .selgraph import (
 from .student import (
     StudentArch,
     StudentModel,
-    forward,
-    forward_batch,
     init_student,
     load_checkpoint,
     save_checkpoint,

@@ -78,7 +78,7 @@ def _train(model: StudentModel, sset: StudentSet, mask: SelectionMask | None,
 @dataclass
 class Benchmark:
     train_set: StudentSet    # C=10, 30/class, 10% planted outliers
-    eval_pairs: list         # frozen verification pairs from held-out inliers
+    eval_pairs: tuple        # frozen verification pairs (A, B, same) from held-out inliers
 
 
 def make_benchmark(seed: int) -> Benchmark:

@@ -47,7 +47,7 @@ from .selgraph import (
     dump_graph,
     streamed_selection_graph,
 )
-from .student import StudentArch, init_student, load_checkpoint, save_checkpoint, forward_batch
+from .student import StudentArch, init_student, load_checkpoint, save_checkpoint, tap_output
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -253,10 +253,10 @@ def cmd_bench(args) -> int:
     ckpt = _require_file(args.ckpt)
     model = load_checkpoint(ckpt)
     X = np.random.default_rng(0).normal(size=(args.batch, model.arch.input_dim))
-    forward_batch(model, X)  # warm up
+    tap_output(model, X, "mimic")  # warm up
     t0 = time.perf_counter()
     for _ in range(args.repeat):
-        forward_batch(model, X)
+        tap_output(model, X, "mimic")
     dt = time.perf_counter() - t0
     rate = args.batch * args.repeat / dt if dt > 0 else float("inf")
     print(json.dumps({

@@ -39,19 +39,27 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def evaluate_verification(
     model: StudentModel,
-    pairs: list[tuple[np.ndarray, np.ndarray, bool]],
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
     tap: str = "mimic",
 ) -> float:
-    """AUC of cosine scores between length-normalized tap features of pairs."""
-    if not pairs:
+    """AUC of cosine scores between length-normalized tap features of pairs.
+
+    ``pairs`` is ``(A, B, same)``: pair i compares the input rows ``A[i]``
+    and ``B[i]``, and ``same[i]`` says whether they are one identity.
+    """
+    A, B, same = pairs
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    same = np.asarray(same, dtype=bool)
+    if A.ndim != 2 or A.shape != B.shape:
+        raise ValueError(f"pair inputs must be 2-D of one shape, got {A.shape} and {B.shape}")
+    if same.shape != (len(A),):
+        raise ValueError(f"same has shape {same.shape}, expected ({len(A)},)")
+    if len(same) == 0:
         raise ValueError("empty pair set")
-    A = np.stack([np.asarray(p[0], dtype=np.float64) for p in pairs])
-    B = np.stack([np.asarray(p[1], dtype=np.float64) for p in pairs])
-    same = np.array([bool(p[2]) for p in pairs])
     if same.all() or not same.any():
         raise ValueError("degenerate pair set: need both positive and negative pairs")
     model.require_input_dim(A.shape[1])
-    model.require_input_dim(B.shape[1])
     fa = unit_rows(tap_output(model, A, tap))
     fb = unit_rows(tap_output(model, B, tap))
     scores = np.einsum("ij,ij->i", fa, fb)
@@ -98,8 +106,12 @@ def evaluate_retrieval(model: StudentModel, sset: StudentSet, tap: str = "mimic"
 
 def make_verification_pairs(
     sset: StudentSet, n_pos: int, n_neg: int, seed: int = 0
-) -> list[tuple[np.ndarray, np.ndarray, bool]]:
-    """Seeded same/different pairs of degraded inputs drawn from a set."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded same/different pairs of degraded inputs drawn from a set.
+
+    Returns ``(A, B, same)``: two ``(n_pos + n_neg, d_in)`` input arrays and
+    a bool vector, the ``n_pos`` same-class pairs first.
+    """
     if sset.C < 2:
         raise ValueError("need at least two classes for negative pairs")
     rng = np.random.default_rng(seed)
@@ -108,17 +120,18 @@ def make_verification_pairs(
     if not multi:
         raise ValueError("need a class with at least two records for positive pairs")
 
-    def pick_version(rid: int) -> np.ndarray:
-        return sset.inputs[rid, rng.integers(sset.N)]
-
-    pairs: list[tuple[np.ndarray, np.ndarray, bool]] = []
+    # (record a, record b, version a, version b) per pair. Both records are
+    # drawn before either version: this order fixes every pair a seed gives.
+    ids: list[tuple[int, int, int, int]] = []
     for _ in range(n_pos):
         c = multi[rng.integers(len(multi))]
         a, b = rng.choice(len(by_class[c]), size=2, replace=False)
-        pairs.append((pick_version(by_class[c][a]), pick_version(by_class[c][b]), True))
+        ids.append((by_class[c][a], by_class[c][b], rng.integers(sset.N), rng.integers(sset.N)))
     for _ in range(n_neg):
         ca, cb = rng.choice(sset.C, size=2, replace=False) + 1
         ra = by_class[ca][rng.integers(len(by_class[ca]))]
         rb = by_class[cb][rng.integers(len(by_class[cb]))]
-        pairs.append((pick_version(ra), pick_version(rb), False))
-    return pairs
+        ids.append((ra, rb, rng.integers(sset.N), rng.integers(sset.N)))
+    rec_a, rec_b, ver_a, ver_b = np.array(ids, dtype=np.int64).reshape(-1, 4).T
+    same = np.arange(len(ids)) < n_pos
+    return sset.inputs[rec_a, ver_a], sset.inputs[rec_b, ver_b], same

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dataset import StudentSet
 
-__all__ = ["MEASURES", "unit_rows", "pairwise_measure", "measure_matrix", "class_centroids"]
+__all__ = ["MEASURES", "unit_rows", "measure_matrix", "class_centroids"]
 
 MEASURES = ("cossim", "cosdist")
 
@@ -34,19 +34,6 @@ def unit_rows(M) -> np.ndarray:
     norms = np.sqrt(np.square(np.ldexp(M, shift, out=U), out=U).sum(axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
     return np.divide(np.ldexp(M, shift, out=U), norms, out=U)
-
-
-def pairwise_measure(a, b, mode: str = "cossim") -> float:
-    """Nonnegative affinity between two vectors of equal dimension.
-
-    Symmetric and invariant to positive rescaling of either argument.
-    Raises ValueError on zero-norm input.
-    """
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.ndim != 1 or va.shape != vb.shape:
-        raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    return float(measure_matrix(va[None], vb[None], mode)[0, 0])
 
 
 def measure_matrix(A: np.ndarray, B: np.ndarray, mode: str = "cossim") -> np.ndarray:

@@ -72,12 +72,6 @@ class SweepEntry:
 class SweepResult:
     entries: list[SweepEntry]
 
-    def lambdas(self) -> list[float]:
-        return [e.lam for e in self.entries]
-
-    def counts(self) -> list[int]:
-        return [e.selected_count for e in self.entries]
-
     def validate(self) -> None:
         """Assert the provable parametric invariants; a violation is a bug."""
         prev = None

@@ -25,8 +25,6 @@ __all__ = [
     "Layer",
     "StudentModel",
     "init_student",
-    "forward",
-    "forward_batch",
     "tap_output",
     "save_checkpoint",
     "load_checkpoint",
@@ -210,31 +208,6 @@ def forward_trace(
         z += layer.b
         acts.append(apply_activation(layer.activation, z))
     return acts
-
-
-def forward_batch(model: StudentModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched forward pass. Returns (mimic (B, D), logits (B, C))."""
-    acts = forward_trace(model, X)
-    return acts[model.mimic_index + 1], acts[-1]
-
-
-def forward(model: StudentModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-input forward pass with per-layer finiteness checks.
-
-    Returns (mimic (D,), logits (C,)). Raises FloatingPointError naming the
-    first layer whose activations are non-finite.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.arch.input_dim,):
-        raise ValueError(f"input has shape {x.shape}, expected ({model.arch.input_dim},)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input")
-    with np.errstate(over="ignore", invalid="ignore"):
-        acts = forward_trace(model, x[None])
-    for idx, layer in enumerate(model.layers):
-        if not np.all(np.isfinite(acts[idx + 1])):
-            raise FloatingPointError(f"non-finite activations at layer {idx} ({layer.name})")
-    return acts[model.mimic_index + 1][0], acts[-1][0]
 
 
 def tap_output(model: StudentModel, X: np.ndarray, tap: str) -> np.ndarray:

@@ -20,7 +20,7 @@ from skd.benchmark import (
 from skd.cli import main
 from skd.dataset import StudentSet, SynthConfig, load_student_set, synthesize
 from skd.distiller import TrainConfig, finetune, gradient_check, transfer_student
-from skd.metric import class_centroids, pairwise_measure
+from skd.metric import class_centroids, measure_matrix
 from skd.mincut import brute_force_minimize, default_lambda_grid, lambda_sweep, load_mask, minimize
 from skd.selgraph import SelectionMask, build_selection_graph
 from skd.student import StudentArch, init_student, load_checkpoint
@@ -197,9 +197,9 @@ def test_criterion_8_metric_exactness():
             continue
         k = float(rng.uniform(1e-3, 1e3))
         mode = "cossim" if rng.random() < 0.5 else "cosdist"
-        s = pairwise_measure(a, b, mode)
-        assert abs(s - pairwise_measure(b, a, mode)) < 1e-12
-        assert abs(s - pairwise_measure(k * a, b, mode)) < 1e-12
+        s = measure_matrix(a[None], b[None], mode)[0, 0]
+        assert abs(s - measure_matrix(b[None], a[None], mode)[0, 0]) < 1e-12
+        assert abs(s - measure_matrix(k * a[None], b[None], mode)[0, 0]) < 1e-12
     report(8, "metric/centroid exactness", "1e-12 over 10^4 trials")
 
 

@@ -11,10 +11,10 @@ def benchmark_digest(bench) -> str:
     digest = hashlib.sha256()
     for array in (sset.labels, sset.features, sset.inputs, sset.outlier):
         digest.update(array.tobytes())
-    for a, b, same in bench.eval_pairs:
+    for a, b, same in zip(*bench.eval_pairs):
         digest.update(a.tobytes())
         digest.update(b.tobytes())
-        digest.update(bytes([same]))
+        digest.update(same.tobytes())
     return digest.hexdigest()
 
 
@@ -24,5 +24,5 @@ def benchmark_digest(bench) -> str:
 ])
 def test_make_benchmark_golden(seed, expected):
     bench = make_benchmark(seed)
-    assert len(bench.train_set) == 300 and len(bench.eval_pairs) == 600
+    assert len(bench.train_set) == 300 and len(bench.eval_pairs[2]) == 600
     assert benchmark_digest(bench) == expected

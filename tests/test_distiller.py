@@ -24,7 +24,7 @@ from skd.distiller import (
     transfer_student,
 )
 from skd.selgraph import SelectionMask
-from skd.student import StudentArch, forward_batch, forward_trace, init_student, tap_output
+from skd.student import StudentArch, forward_trace, init_student, tap_output
 
 
 def tiny_set(C=3, per_class=4, D=4, d_in=3, N=2, seed=0):
@@ -75,8 +75,7 @@ class TestClassificationLoss:
         oracle = 0.0
         for label, xs in zip(sset.labels, sset.inputs):
             for x in xs:
-                _, logits = forward_batch(model, np.asarray(x)[None, :])
-                z = logits[0]
+                z = forward_trace(model, np.asarray(x)[None, :])[-1][0]
                 z = z - z.max()
                 oracle += -(z[label - 1] - math.log(math.fsum(math.exp(v) for v in z)))
         assert total == pytest.approx(oracle, abs=1e-10)
@@ -106,7 +105,7 @@ class TestRegressionLoss:
         sset = tiny_set(C=2, per_class=1, N=1, seed=2)
         one = StudentSet(sset.labels[:1], sset.features[:1], sset.inputs[:1], C=2)
         model = init_student(arch_for(sset), seed=4)
-        mimic, _ = forward_batch(model, np.asarray(one.inputs[0, 0])[None, :])
+        mimic = tap_output(model, np.asarray(one.inputs[0, 0])[None, :], "mimic")
         expected = float(np.sum((mimic[0] - one.features[0]) ** 2))
         got = total_loss(model, one, SelectionMask.ones(1), "s")
         assert got == pytest.approx(expected, abs=1e-12)
@@ -679,9 +678,9 @@ class TestPinnedNumerics:
                               moved_sc_cfg)[1])
 
         X = np.random.default_rng(34).normal(size=(7, sset.d_in))
-        mimic, logits = forward_batch(tanh, X)
-        out["forward_batch mimic"] = self.sha(mimic.tobytes())
-        out["forward_batch logits"] = self.sha(logits.tobytes())
+        acts = forward_trace(tanh, X)
+        out["forward_batch mimic"] = self.sha(acts[tanh.mimic_index + 1].tobytes())
+        out["forward_batch logits"] = self.sha(acts[-1].tobytes())
         for tap in ("mimic", "identity"):
             out[f"tap {tap}"] = self.sha(tap_output(moved, X, tap).tobytes())
         return out

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,7 @@ from skd.evaluate import (
     evaluate_verification,
     make_verification_pairs,
 )
-from skd.student import StudentArch, forward_batch, init_student, tap_output
+from skd.student import StudentArch, forward_trace, init_student, tap_output
 
 
 def identity_model(dim, class_count=2):
@@ -69,22 +67,43 @@ class TestVerification:
     def test_identical_vs_orthogonal_pairs(self):
         m = identity_model(3)
         v1, v2 = np.array([1.0, 0, 0]), np.array([0, 1.0, 0])
-        pairs = [(v1, v1, True), (v2, v2, True), (v1, v2, False), (v2, v1, False)]
+        pairs = (np.array([v1, v2, v1, v2]), np.array([v1, v2, v2, v1]),
+                 np.array([True, True, False, False]))
         assert evaluate_verification(m, pairs, tap="mimic") == 1.0
 
     def test_degenerate_pairs_error(self):
         m = identity_model(2)
         with pytest.raises(ValueError, match="degenerate"):
-            evaluate_verification(m, [(np.ones(2), np.ones(2), True)])
+            evaluate_verification(m, (np.ones((1, 2)), np.ones((1, 2)), np.array([True])))
+
+    def test_empty_pairs_error(self):
+        m = identity_model(2)
+        with pytest.raises(ValueError, match="empty"):
+            evaluate_verification(m, (np.ones((0, 2)), np.ones((0, 2)), np.ones(0, bool)))
+
+    @pytest.mark.parametrize("A, B, same", [
+        (np.ones(2), np.ones(2), np.array([True])),                      # 1-D inputs
+        (np.ones((2, 2, 1)), np.ones((2, 2, 1)), np.array([True, False])),  # 3-D inputs
+        (np.ones((2, 2)), np.ones((3, 2)), np.array([True, False])),     # pair counts differ
+        (np.ones((2, 2)), np.ones((2, 3)), np.array([True, False])),     # input dims differ
+        (np.ones((2, 2)), np.ones((2, 2)), np.array([True, False, True])),  # same too long
+        (np.ones((2, 2)), np.ones((2, 2)), np.array([[True, False]])),   # same not a vector
+    ])
+    def test_malformed_pairs_error_before_any_forward(self, monkeypatch, A, B, same):
+        def no_forward(*args):
+            raise AssertionError("forward pass on malformed pairs")
+
+        monkeypatch.setattr("skd.evaluate.tap_output", no_forward)
+        with pytest.raises(ValueError, match="pair inputs|same has shape"):
+            evaluate_verification(identity_model(2), (A, B, same))
 
     def test_pair_builder_deterministic(self):
         sset = synthesize(SynthConfig(C=3, per_class_count=4, D=4, d_in=2, N=2, seed=1))
-        a = make_verification_pairs(sset, 10, 10, seed=5)
-        b = make_verification_pairs(sset, 10, 10, seed=5)
-        assert len(a) == 20
-        for (xa, ya, sa), (xb, yb, sb) in zip(a, b):
-            assert np.array_equal(xa, xb) and np.array_equal(ya, yb) and sa == sb
-        assert sum(1 for p in a if p[2]) == 10
+        A, B, same = make_verification_pairs(sset, 10, 10, seed=5)
+        A2, B2, same2 = make_verification_pairs(sset, 10, 10, seed=5)
+        assert A.shape == B.shape == (20, 2) and same.dtype == bool
+        assert np.array_equal(A, A2) and np.array_equal(B, B2) and np.array_equal(same, same2)
+        assert same.sum() == 10 and same[:10].all()
 
 
 class TestIdentification:
@@ -134,8 +153,8 @@ class TestIdentification:
         errs1 = errs5 = total = 0
         for label, xs in zip(sset.labels, sset.inputs):
             for x in xs:
-                _, logits = forward_batch(m, np.asarray(x)[None, :])
-                order = sorted(range(4), key=lambda c: (-logits[0][c], c))
+                logits = forward_trace(m, np.asarray(x)[None, :])[-1][0]
+                order = sorted(range(4), key=lambda c: (-logits[c], c))
                 rank = order.index(label - 1)
                 errs1 += rank >= 1
                 errs5 += rank >= 5
@@ -212,9 +231,9 @@ def test_scores_do_not_depend_on_the_tap_magnitude(k):
     m = identity_model(4)
     rng = np.random.default_rng(3)
     members = [(c, np.eye(4)[c] + 0.05 * rng.normal(size=4)) for c in range(4) for _ in range(3)]
-    pairs = [(np.ldexp(a, k), np.ldexp(b, k), ca == cb)
-             for (ca, a), (cb, b) in itertools.combinations(members, 2)]
-    assert evaluate_verification(m, pairs) == 1.0
-    sset = retrieval_set([c + 1 for c, _ in members], np.eye(4)[[c for c, _ in members]],
-                         np.stack([np.ldexp(v, k) for _, v in members])[:, None, :])
+    labels = np.array([c for c, _ in members])
+    V = np.ldexp(np.stack([v for _, v in members]), k)
+    i, j = np.triu_indices(len(members), k=1)  # every unordered pair once
+    assert evaluate_verification(m, (V[i], V[j], labels[i] == labels[j])) == 1.0
+    sset = retrieval_set(labels + 1, np.eye(4)[labels], V[:, None, :])
     assert evaluate_retrieval(m, sset) == 1.0

@@ -9,7 +9,6 @@ from skd.dataset import StudentSet
 from skd.metric import (
     class_centroids,
     measure_matrix,
-    pairwise_measure,
     unit_rows,
 )
 
@@ -18,43 +17,49 @@ finite_vec = st.lists(
 )
 
 
+def measure(a, b, mode="cossim"):
+    """The measure between two vectors, taken as one-row arrays."""
+    A, B = np.array([a], dtype=float), np.array([b], dtype=float)
+    return float(measure_matrix(A, B, mode)[0, 0])
+
+
 def test_identical_vectors():
     v = np.array([0.3, 0.7, 0.1])
-    assert pairwise_measure(v, v) == pytest.approx(1.0, abs=1e-12)
-    assert pairwise_measure(v, v, mode="cosdist") == pytest.approx(0.0, abs=1e-12)
+    assert measure(v, v) == pytest.approx(1.0, abs=1e-12)
+    assert measure(v, v, mode="cosdist") == pytest.approx(0.0, abs=1e-12)
 
 
 def test_orthogonal_vectors():
-    assert pairwise_measure([1, 0], [0, 1]) == 0.0
-    assert pairwise_measure([1, 0], [0, 1], mode="cosdist") == 1.0
+    assert measure([1, 0], [0, 1]) == 0.0
+    assert measure([1, 0], [0, 1], mode="cosdist") == 1.0
 
 
 def test_known_cosine():
     # dot = 0.8, both unit norm
-    assert pairwise_measure([1, 0], [0.8, 0.6]) == pytest.approx(0.8, abs=1e-12)
-    assert pairwise_measure([1, 0], [0.8, 0.6], mode="cosdist") == pytest.approx(0.2, abs=1e-12)
+    assert measure([1, 0], [0.8, 0.6]) == pytest.approx(0.8, abs=1e-12)
+    assert measure([1, 0], [0.8, 0.6], mode="cosdist") == pytest.approx(0.2, abs=1e-12)
 
 
 def test_clamping_of_negative_cosine():
-    assert pairwise_measure([1, 0], [-1, 0]) == 0.0
-    assert pairwise_measure([1, 0], [-1, 0], mode="cosdist") == pytest.approx(2.0, abs=1e-12)
+    assert measure([1, 0], [-1, 0]) == 0.0
+    assert measure([1, 0], [-1, 0], mode="cosdist") == pytest.approx(2.0, abs=1e-12)
 
 
 def test_zero_norm_errors():
     with pytest.raises(ValueError, match="zero-norm"):
-        pairwise_measure([0, 0], [1, 0])
+        measure([0, 0], [1, 0])
     with pytest.raises(ValueError, match="zero-norm"):
         measure_matrix(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
 
 
 def test_dimension_mismatch_errors():
     with pytest.raises(ValueError):
-        pairwise_measure([1, 0], [1, 0, 0])
+        measure([1, 0], [1, 0, 0])
 
 
 def test_unknown_mode_errors():
     with pytest.raises(ValueError):
-        pairwise_measure([1, 0], [0, 1], mode="euclid")
+        measure([1, 0], [0, 1], mode="euclid")
 
 
 @settings(max_examples=200, deadline=None)
@@ -67,11 +72,11 @@ def test_symmetry_and_scale_invariance(a, b, k):
     if np.linalg.norm(va) == 0 or np.linalg.norm(vb) == 0:
         return
     for mode in ("cossim", "cosdist"):
-        s1 = pairwise_measure(va, vb, mode)
-        assert s1 == pytest.approx(pairwise_measure(vb, va, mode), abs=1e-12)
-        assert s1 == pytest.approx(pairwise_measure(k * va, vb, mode), abs=1e-12)
-    assert 0.0 <= pairwise_measure(va, vb) <= 1.0
-    assert 0.0 <= pairwise_measure(va, vb, "cosdist") <= 2.0
+        s1 = measure(va, vb, mode)
+        assert s1 == pytest.approx(measure(vb, va, mode), abs=1e-12)
+        assert s1 == pytest.approx(measure(k * va, vb, mode), abs=1e-12)
+    assert 0.0 <= measure(va, vb) <= 1.0
+    assert 0.0 <= measure(va, vb, "cosdist") <= 2.0
 
 
 def build_set(features_by_class, d_in=1, N=1):

@@ -470,22 +470,22 @@ class TestSweep:
         oracle_counts = [brute_force_minimize(g, lam)[0].selected_count for lam in grid]
         assert oracle_counts == [2, 2, 0]  # frozen from the enumeration oracle
         result = lambda_sweep(g, grid)
-        assert result.counts() == oracle_counts
+        assert [e.selected_count for e in result.entries] == oracle_counts
 
     def test_count_zero_at_lambda_zero(self):
         rng = np.random.default_rng(9)
         g = random_graph(rng)
         g.unary = np.abs(g.unary) + 1e-6
         result = lambda_sweep(g, [0.0])
-        assert result.counts() == [0]
+        assert [e.selected_count for e in result.entries] == [0]
 
     def test_invariants_on_random_graphs(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             g = random_graph(rng)
             result = lambda_sweep(g)  # validates internally
-            assert result.lambdas() == default_lambda_grid()
-            counts = result.counts()
+            assert [e.lam for e in result.entries] == default_lambda_grid()
+            counts = [e.selected_count for e in result.entries]
             assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_canonical_optima_nested(self):

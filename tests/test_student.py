@@ -6,8 +6,7 @@ from skd.student import (
     StudentArch,
     activation_derivative,
     apply_activation,
-    forward,
-    forward_batch,
+    forward_trace,
     init_student,
     load_checkpoint,
     save_checkpoint,
@@ -73,7 +72,7 @@ class TestForward:
         m = init_student(small_arch(), seed=0)
         for layer in m.layers:
             layer.W[:] = 0.0
-        mimic, logits = forward(m, np.zeros(3))
+        logits = forward_trace(m, np.zeros((1, 3)))[-1][0]
         assert np.all(logits == logits[0])
         p = np.exp(logits) / np.exp(logits).sum()
         assert np.allclose(p, 1.0 / 3.0)
@@ -87,36 +86,17 @@ class TestForward:
         m.layers[1].W = np.eye(3)
         for l in m.layers:
             l.b[:] = 0.0
-        x = np.array([0.3, -1.2, 2.0])
-        mimic, _ = forward(m, x)
-        assert np.allclose(mimic, x, atol=0)
+        X = np.array([[0.3, -1.2, 2.0], [1.5, 0.0, -0.25]])
+        assert np.allclose(tap_output(m, X, "mimic"), X, atol=0)
 
     def test_finite_outputs_random_inputs(self):
         m = init_student(small_arch(), seed=3)
         rng = np.random.default_rng(0)
         X = rng.normal(size=(1000, 3))
-        mimic, logits = forward_batch(m, X)
+        acts = forward_trace(m, X)
+        mimic, logits = acts[m.mimic_index + 1], acts[-1]
         assert np.all(np.isfinite(mimic)) and np.all(np.isfinite(logits))
         assert mimic.shape == (1000, 4) and logits.shape == (1000, 3)
-
-    def test_single_matches_batch(self):
-        m = init_student(small_arch(), seed=3)
-        x = np.array([0.1, -0.7, 0.4])
-        mimic_s, logits_s = forward(m, x)
-        mimic_b, logits_b = forward_batch(m, x[None, :])
-        assert np.allclose(mimic_s, mimic_b[0], atol=0)
-        assert np.allclose(logits_s, logits_b[0], atol=0)
-
-    def test_non_finite_activation_names_layer(self):
-        m = init_student(small_arch(), seed=0)
-        m.layers[1].W[0, 0] = np.inf
-        with pytest.raises(FloatingPointError, match="layer 1"):
-            forward(m, np.ones(3))
-
-    def test_bad_input_shape(self):
-        m = init_student(small_arch(), seed=0)
-        with pytest.raises(ValueError):
-            forward(m, np.ones(4))
 
     def test_taps(self):
         m = init_student(small_arch(), seed=1)
