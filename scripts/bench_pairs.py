@@ -15,12 +15,20 @@ the change's gain in the median is larger than the parent's interquartile
 range, and a verdict against the metric's ``bound`` in ``BENCHMARK.json``
 (see ``verdict``). Each checkout's ``bench/`` is run as it is, never
 edited; a run that is not ``correct`` stops the script.
+
+Both checkouts must hold no ``__pycache__`` under ``src/`` or ``bench/``:
+a side that imports cached bytecode skips the compile the other side's
+set-ups pay, which moves ``setup_s`` by about a tenth at the desk shape. The
+script exits naming such a directory before the first run, and runs every
+``bench/run.py`` with ``PYTHONDONTWRITEBYTECODE=1`` so that no run leaves
+one behind for the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -34,7 +42,8 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict[st
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: bench/run.py exited {proc.returncode}\n{proc.stderr}")
@@ -42,6 +51,11 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict[st
     if not result["correct"]:
         raise SystemExit(f"{checkout}: run not correct\n{proc.stdout}")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def bytecode_caches(checkout: Path) -> list[Path]:
+    """Every ``__pycache__`` directory under ``checkout``'s ``src/`` and ``bench/``."""
+    return sorted(p for top in ("src", "bench") for p in (checkout / top).rglob("__pycache__"))
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -95,6 +109,10 @@ def main(argv: list[str] | None = None) -> int:
     metrics = {m["name"]: m for m in spec["end_to_end"]}
 
     sides = {"parent": args.parent, "change": args.change}
+    for side, checkout in sides.items():
+        if caches := bytecode_caches(checkout):
+            raise SystemExit(f"{side} checkout holds compiled bytecode, which skews setup_s; "
+                             f"delete it first: {caches[0]}")
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dataset import StudentSet, SynthConfig, subset_classes, subset_records, synthesize
+from .dataset import StudentSet, SynthConfig, class_ids, subset_classes, subset_records, synthesize
 from .distiller import TrainConfig, finetune, transfer_student
 from .evaluate import evaluate_identification, evaluate_verification, make_verification_pairs
 from .metric import class_centroids
@@ -84,13 +84,11 @@ class Benchmark:
 def make_benchmark(seed: int) -> Benchmark:
     mother = _mother(10, MOTHER_PER_CLASS, MOTHER_OUTLIER_FRACTION, seed)
     train_ids, eval_ids = [], []
-    for c in range(1, mother.C + 1):
-        members = mother.class_members(c)
-        # An unknown flag (-1) counts as an inlier.
-        inliers = [i for i in members if mother.outlier[i] != 1]
-        outliers = [i for i in members if mother.outlier[i] == 1]
-        train_ids += inliers[:TRAIN_INLIERS_PER_CLASS] + outliers
-        eval_ids += inliers[TRAIN_INLIERS_PER_CLASS:]
+    for members in class_ids(mother.labels, mother.C):
+        flagged = mother.outlier[members] == 1  # an unknown flag (-1) counts as an inlier
+        inliers = members[~flagged]
+        train_ids += [*inliers[:TRAIN_INLIERS_PER_CLASS], *members[flagged]]
+        eval_ids += [*inliers[TRAIN_INLIERS_PER_CLASS:]]
     train_set = subset_records(mother, train_ids)
     held_out = subset_records(mother, eval_ids)
     pairs = make_verification_pairs(held_out, n_pos=300, n_neg=300, seed=seed + 101)
@@ -135,13 +133,9 @@ def transfer_comparison(seed: int) -> tuple[float, float]:
     mother = _mother(S + T, TRANSFER_PER_CLASS, 0.0, seed)
     source_set = subset_classes(mother, list(range(1, S + 1)))
     target = subset_classes(mother, list(range(S + 1, S + T + 1)))
-    train_ids, eval_ids = [], []
-    for c in range(1, target.C + 1):
-        members = target.class_members(c)
-        train_ids += members[:TRANSFER_TARGET_TRAIN_PER_CLASS]
-        eval_ids += members[TRANSFER_TARGET_TRAIN_PER_CLASS:]
-    target_train = subset_records(target, train_ids)
-    target_eval = subset_records(target, eval_ids)
+    groups, k = class_ids(target.labels, target.C), TRANSFER_TARGET_TRAIN_PER_CLASS
+    target_train = subset_records(target, [i for ids in groups for i in ids[:k]])
+    target_eval = subset_records(target, [i for ids in groups for i in ids[k:]])
 
     source = _train(_student(source_set, seed), source_set, None, "c", PRETRAIN_EPOCHS, seed)
     mask = select_informative(source_set)

@@ -25,6 +25,7 @@ import numpy as np
 __all__ = [
     "StudentSet",
     "SynthConfig",
+    "class_ids",
     "FormatError",
     "load_student_set",
     "save_student_set",
@@ -96,9 +97,6 @@ class StudentSet:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def class_members(self, label: int) -> list[int]:
-        return np.flatnonzero(self.labels == label).tolist()
-
     def validate(self, ids: np.ndarray | None = None) -> None:
         """Raise ValueError on any invariant violation, naming the first bad record.
 
@@ -153,29 +151,51 @@ class SynthConfig:
             raise ValueError("require D >= d_in >= 1")
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be nonnegative")
+        if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ValueError("noise_scale must be finite and nonnegative")
         if not (0.0 <= self.outlier_fraction < 1.0):
             raise ValueError("outlier_fraction must be in [0, 1)")
 
 
+# Records written or parsed at once: the text held while saving or loading is
+# bounded by this group, not by the file.
+_GROUP_RECORDS = 64
 _FLAG_VALUE = {"0": 0, "1": 1, "-": -1}  # SKD1 outlier flag text
 _DECIMAL_CHARS = b"0123456789.eE+-,\n"  # what bytes.translate deletes from a parseable body
 
 
+def class_ids(labels: np.ndarray, n_classes: int) -> list[np.ndarray]:
+    """The record ids of each class 1..n_classes, ascending.
+
+    Entry c - 1 holds what ``np.flatnonzero`` gives for label c, dtype
+    included. All classes come from one stable sort of the labels, and a
+    label outside 1..n_classes lands in no class.
+    """
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(1, n_classes + 2))
+    return np.split(order, bounds)[1:-1]
+
+
 def save_student_set(sset: StudentSet, path: str | Path) -> None:
-    """Write ``sset`` in the SKD1 text format. Round-trips exactly."""
+    """Write ``sset`` in the SKD1 text format. Round-trips exactly.
+
+    The file is written a group of records at a time, so the text held is
+    bounded by the group, not by the file.
+    """
     sset.validate()
     n, N = len(sset), sset.N
-    features = sset.features.tolist()
-    inputs = sset.inputs.reshape(n * N, sset.d_in).tolist()
-    lines = [f"SKD1 {n} {sset.C} {sset.D} {sset.d_in} {N}"]
-    for i, (label, flag) in enumerate(zip(sset.labels.tolist(), sset.outlier.tolist())):
-        # "01-"[-1] is "-": an unknown flag
-        lines.append(f"{i},{label},{'01-'[flag]}," + ",".join(map(repr, features[i])))
-        for j in range(N):
-            lines.append(f"{j + 1}," + ",".join(map(repr, inputs[i * N + j])))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with open(path, "w", encoding="ascii") as f:
+        f.write(f"SKD1 {n} {sset.C} {sset.D} {sset.d_in} {N}\n")
+        for lo in range(0, n, _GROUP_RECORDS):
+            rows = slice(lo, lo + _GROUP_RECORDS)
+            lines = []
+            for i, label, flag, feature, versions in zip(
+                    itertools.count(lo), sset.labels[rows].tolist(), sset.outlier[rows].tolist(),
+                    sset.features[rows].tolist(), sset.inputs[rows].tolist()):
+                # "01-"[-1] is "-": an unknown flag
+                lines.append(f"{i},{label},{'01-'[flag]}," + ",".join(map(repr, feature)))
+                lines += [f"{j}," + ",".join(map(repr, v)) for j, v in enumerate(versions, 1)]
+            f.write("\n".join(lines) + "\n")
 
 
 def _exact_values(lines: list[str], N: int, first: int) -> list[float]:
@@ -223,11 +243,6 @@ class _Lines:
     def drain(self) -> None:
         while self.take(_GROUP_RECORDS):
             pass
-
-
-# Records parsed at once: the text held while loading is bounded by this
-# group, not by the file.
-_GROUP_RECORDS = 64
 
 
 def load_student_set(path: str | Path) -> StudentSet:

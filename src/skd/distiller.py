@@ -65,12 +65,12 @@ class TrainConfig:
             raise ValueError(
                 f"unknown supervision {self.supervision!r}; expected one of {SUPERVISION_MODES}"
             )
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and nonnegative")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size >= 1 and epochs >= 0 required")
-        if self.reg_scale < 0:
-            raise ValueError("reg_scale must be nonnegative")
+        if not (np.isfinite(self.reg_scale) and self.reg_scale >= 0):
+            raise ValueError("reg_scale must be finite and nonnegative")
         if self.normalize_targets and self.supervision == "c":
             raise ValueError("normalize_targets needs a regression term; supervision 'c' has none")
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import StudentSet
+from .dataset import StudentSet, class_ids
 from .metric import unit_rows
 from .student import StudentModel, forward_trace, tap_output
 
@@ -115,8 +115,8 @@ def make_verification_pairs(
     if sset.C < 2:
         raise ValueError("need at least two classes for negative pairs")
     rng = np.random.default_rng(seed)
-    by_class = {c: sset.class_members(c) for c in range(1, sset.C + 1)}
-    multi = [c for c, ids in by_class.items() if len(ids) >= 2]
+    by_class = class_ids(sset.labels, sset.C)  # by_class[c]: the ids of class c + 1
+    multi = [c for c, ids in enumerate(by_class) if len(ids) >= 2]
     if not multi:
         raise ValueError("need a class with at least two records for positive pairs")
 
@@ -128,7 +128,7 @@ def make_verification_pairs(
         a, b = rng.choice(len(by_class[c]), size=2, replace=False)
         ids.append((by_class[c][a], by_class[c][b], rng.integers(sset.N), rng.integers(sset.N)))
     for _ in range(n_neg):
-        ca, cb = rng.choice(sset.C, size=2, replace=False) + 1
+        ca, cb = rng.choice(sset.C, size=2, replace=False)
         ra = by_class[ca][rng.integers(len(by_class[ca]))]
         rb = by_class[cb][rng.integers(len(by_class[cb]))]
         ids.append((ra, rb, rng.integers(sset.N), rng.integers(sset.N)))

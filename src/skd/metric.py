@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import StudentSet
+from .dataset import StudentSet, class_ids
 
 __all__ = ["MEASURES", "unit_rows", "measure_matrix", "class_centroids"]
 
@@ -67,10 +67,8 @@ def class_centroids(sset: StudentSet) -> np.ndarray:
     if np.any(counts == 0):
         empty = int(np.argmin(counts)) + 1
         raise ValueError(f"class {empty} is empty; centroid undefined")
-    sums = np.empty((sset.C, sset.D), dtype=np.float64)
     # A running sum adds each class's rows one after another, as np.add.at
     # into zeros would; adding 0.0 turns a -0.0 sum into the +0.0 it gives.
-    order = np.argsort(sset.labels, kind="stable")
-    for c, rows in enumerate(np.split(order, np.cumsum(counts)[:-1])):
-        sums[c] = np.cumsum(sset.features[rows], axis=0)[-1] + 0.0
+    sums = np.array([np.cumsum(sset.features[rows], axis=0)[-1]
+                     for rows in class_ids(sset.labels, sset.C)]) + 0.0
     return sums / counts[:, None]

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import StudentSet
+from .dataset import StudentSet, class_ids
 from .metric import measure_matrix
 
 __all__ = [
@@ -106,13 +106,11 @@ class SelectionGraph:
         if np.any(edge_class != labels[j]):
             raise ValueError("edges must connect faces of the same class")
         blocks = []
-        for c in range(1, n_classes + 1):
-            ids = np.flatnonzero(labels == c)
-            sel = edge_class == c
+        for ids, edges in zip(class_ids(labels, n_classes), class_ids(edge_class, n_classes)):
             if len(ids):
                 dtype = np.min_scalar_type(len(ids))
-                blocks.append((ids, np.searchsorted(ids, i[sel]).astype(dtype),
-                               np.searchsorted(ids, j[sel]).astype(dtype), w[sel]))
+                blocks.append((ids, np.searchsorted(ids, i[edges]).astype(dtype),
+                               np.searchsorted(ids, j[edges]).astype(dtype), w[edges]))
         return cls(n_faces, n_classes, labels, unary, blocks)
 
     # Flat int64/int64/float64 views of every edge, block after block, built
@@ -211,14 +209,14 @@ def streamed_selection_graph(features: np.ndarray, labels: np.ndarray, n_classes
     if len(centroids) != n_classes:
         raise ValueError(f"centroids cover {len(centroids)} classes, set has {n_classes}")
     n = len(labels)
-    class_ids = [np.flatnonzero(labels == c) for c in range(1, n_classes + 1)]
+    groups = class_ids(labels, n_classes)
     face_cent = measure_matrix(features, centroids, measure)  # (n, C)
     unary = face_cent.sum(axis=1) - face_cent[np.arange(n), labels - 1]
-    return SelectionGraph(n, n_classes, labels, unary, class_blocks(features, class_ids, measure))
+    return SelectionGraph(n, n_classes, labels, unary, class_blocks(features, groups, measure))
 
 
-def class_blocks(features: np.ndarray, class_ids: list, measure: str = "cossim") -> Iterator:
-    """``(ids, a, b, w)`` of each nonempty class, ``ids`` taken from ``class_ids`` in turn.
+def class_blocks(features: np.ndarray, groups: list, measure: str = "cossim") -> Iterator:
+    """``(ids, a, b, w)`` of each nonempty class, ``ids`` taken from ``groups`` in turn.
 
     A class's weights are ``measure_matrix(features[ids], features[ids])``,
     read through one boolean mask of its upper triangle, row by row. The
@@ -226,7 +224,7 @@ def class_blocks(features: np.ndarray, class_ids: list, measure: str = "cossim")
     is yielded, so beside ``features`` a consumer that drops each block before
     taking the next holds one class's block at a time.
     """
-    for ids in class_ids:
+    for ids in groups:
         if len(ids):
             rows = features[ids]
             gram = measure_matrix(rows, rows, measure)

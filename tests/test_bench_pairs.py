@@ -1,7 +1,9 @@
 """The no-regression verdict and the per-pair ratio summary of ``scripts/bench_pairs.py``
-on hand-built samples."""
+on hand-built samples, and its refusal of checkouts that hold cached bytecode."""
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,3 +67,43 @@ def test_phase_shift_widens_the_parent_iqr_not_the_ratios(bench_pairs):
     p1, p3 = bench_pairs.quartiles(PHASED)
     _, r1, r3 = bench_pairs.ratio_summary(PHASED, [0.9 * v for v in PHASED])
     assert (p3 - p1, r3 - r1) == (4.0, 0.0)
+
+
+@pytest.fixture
+def checkouts(tmp_path):
+    for side in ("parent", "change"):
+        for top in ("src/skd", "bench"):
+            (tmp_path / side / top).mkdir(parents=True)
+    return tmp_path / "parent", tmp_path / "change"
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+@pytest.mark.parametrize("cache", ["src/skd/__pycache__", "bench/__pycache__"])
+def test_a_bytecode_cache_stops_the_script_before_any_run(bench_pairs, checkouts, monkeypatch,
+                                                          side, cache):
+    parent, change = checkouts
+    stale = (parent if side == "parent" else change) / cache
+    stale.mkdir()
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: runs.append(args))
+    with pytest.raises(SystemExit, match=str(stale)):
+        bench_pairs.main([str(parent), str(change), "--workload", "desk_pipeline",
+                          "--seed", "7", "--pairs", "1"])
+    assert runs == []
+
+
+def test_clean_checkouts_run_without_writing_bytecode(bench_pairs, checkouts, monkeypatch, capsys):
+    envs = []
+    metrics = {"correct": True, "metrics": {name: {"value": 1.0}
+                                            for name in ("setup_s", "wall_s", "peak_rss_mb")}}
+
+    def fake_run(argv, cwd, env, **kwargs):
+        envs.append(env["PYTHONDONTWRITEBYTECODE"])
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(metrics), stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    parent, change = checkouts
+    assert bench_pairs.main([str(parent), str(change), "--workload", "desk_pipeline",
+                             "--seed", "7", "--pairs", "2"]) == 0
+    assert envs == ["1"] * 4
+    assert "change better in 0/2" in capsys.readouterr().out

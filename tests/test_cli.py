@@ -318,6 +318,29 @@ class TestErrors:
             [adir.name, "s.ckpt", "toy.skd", "toy.skd.config.json"])
         assert list(adir.iterdir()) == []
 
+    # Each is refused before any work: a non-finite rate would train to a
+    # non-finite loss (exit 6) or be echoed as NaN, which is not JSON, and a
+    # non-finite noise scale gives no drawable teacher feature.
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--noise", "--lr", "--reg-scale"])
+    def test_non_finite_setting_exit_5(self, toy_set, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        ckpt = tmp_path / "s.ckpt"
+        save_checkpoint(init_student(StudentArch(input_dim=3, mimic_dim=8, class_count=3,
+                                                 trunk=(4,), identity_dim=4), seed=0), ckpt)
+        argv = {
+            "--noise": synth_args(out)[:-2],
+            "--lr": ["pretrain", "--set", str(toy_set), "--epochs", "1"],
+            "--reg-scale": ["finetune", "--set", str(toy_set), "--ckpt", str(ckpt),
+                            "--supervision", "c", "--epochs", "1"],
+        }[flag]
+        capsys.readouterr()
+        assert main([*argv, flag, value, "--out", str(out)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == "" and json.loads(captured.err)["error"] == "invalid"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.ckpt", "toy.skd",
+                                                              "toy.skd.config.json"]
+
     @pytest.mark.parametrize("task", ["verify", "identify", "retrieve"])
     def test_input_width_mismatch_exit_5(self, tmp_path, capsys, task):
         path, ckpt = tmp_path / "narrow.skd", tmp_path / "s.ckpt"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -14,6 +15,7 @@ from skd.dataset import (
     FormatError,
     StudentSet,
     SynthConfig,
+    class_ids,
     load_student_set,
     save_student_set,
     subset_classes,
@@ -138,8 +140,8 @@ class TestSynthesize:
     def test_zero_noise_features_equal_centroid(self):
         s = synthesize(SynthConfig(C=3, per_class_count=4, D=8, d_in=2, N=1,
                                    noise_scale=0.0, outlier_fraction=0.0, seed=5))
-        for c in range(1, 4):
-            feats = s.features[s.class_members(c)]
+        for ids in class_ids(s.labels, 3):
+            feats = s.features[ids]
             for f in feats[1:]:
                 assert np.array_equal(f, feats[0])
             assert math.isclose(float(np.linalg.norm(feats[0])), 1.0, rel_tol=1e-12)
@@ -147,15 +149,15 @@ class TestSynthesize:
     def test_outlier_counts(self):
         s = synthesize(SynthConfig(C=2, per_class_count=5, D=4, d_in=2, N=1,
                                    noise_scale=0.1, outlier_fraction=0.2, seed=1))
-        for c in (1, 2):
-            flags = s.outlier[s.class_members(c)].tolist()
+        for ids in class_ids(s.labels, 2):
+            flags = s.outlier[ids].tolist()
             assert sum(flags) == 1
 
     def test_ten_percent_of_thirty_is_three(self):
         s = synthesize(SynthConfig(C=2, per_class_count=30, D=16, d_in=4, N=1,
                                    noise_scale=0.1, outlier_fraction=0.1, seed=1))
-        for c in (1, 2):
-            flags = s.outlier[s.class_members(c)].tolist()
+        for ids in class_ids(s.labels, 2):
+            flags = s.outlier[ids].tolist()
             assert sum(flags) == 3
 
     def test_determinism(self):
@@ -181,11 +183,74 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(SynthConfig(C=1, per_class_count=10, outlier_fraction=0.3, seed=0))
 
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf, -0.5])
+    def test_noise_must_be_finite_and_nonnegative(self, noise):
+        with pytest.raises(ValueError, match="noise_scale must be finite and nonnegative"):
+            synthesize(SynthConfig(C=2, per_class_count=3, noise_scale=noise))
+
     def test_byte_identical_files(self, tmp_path):
         cfg = SynthConfig(C=3, per_class_count=5, D=8, d_in=3, N=2, seed=11)
         save_student_set(synthesize(cfg), tmp_path / "a.skd")
         save_student_set(synthesize(cfg), tmp_path / "b.skd")
         assert (tmp_path / "a.skd").read_bytes() == (tmp_path / "b.skd").read_bytes()
+
+
+# The benchmark's synth shapes at seed 7 (what `skd synth` writes for bench/
+# workloads.py): 10 x 30 (5 record groups) and 10 x 300 (47 groups). Pinned
+# from a writer that joined the whole file's lines, so streaming the groups
+# must keep every byte.
+SYNTH_DIGESTS = {
+    30: "fd85b43b64fe8466072555b16a7d468e7c81913bb49edd105fe709373f8f86ff",
+    300: "99400f24b0721266f59f3ce05d0f54582c38cf15b895fb54060c4f36557f2ce9",
+}
+
+
+def bench_set(per_class: int) -> StudentSet:
+    return synthesize(SynthConfig(C=10, per_class_count=per_class, D=128, d_in=8, N=4,
+                                  noise_scale=0.005, outlier_fraction=0.1, seed=7))
+
+
+class TestStreamedWriter:
+    @pytest.mark.parametrize("per_class", sorted(SYNTH_DIGESTS))
+    def test_benchmark_sets_keep_their_bytes(self, tmp_path, per_class):
+        p = tmp_path / "s.skd"
+        save_student_set(bench_set(per_class), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == SYNTH_DIGESTS[per_class]
+
+    def test_peak_is_far_below_the_file(self, tmp_path):
+        # 47 groups of 64 records, about 7 MB of text: the writer holds one
+        # group's lines at a time, not the file's.
+        s = bench_set(300)
+        p = tmp_path / "s.skd"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            save_student_set(s, p)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(s) > 40 * _GROUP_RECORDS
+        assert peak < p.stat().st_size / 4
+
+
+# (C, labels): int64 labels from -2..C+2, so some lie outside 1..C and some
+# classes are empty.
+_classed_labels = st.integers(1, 8).flatmap(
+    lambda C: st.tuples(st.just(C), st.lists(st.integers(-2, C + 2), max_size=40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_classed_labels)
+@example(case=(3, [3, 0, 1, -1, 3, 4, 1]))
+@example(case=(1, []))
+def test_class_ids_equal_a_scan_per_class(case):
+    C, values = case
+    labels = np.array(values, dtype=np.int64)
+    got = class_ids(labels, C)
+    assert len(got) == C
+    for c, ids in enumerate(got, start=1):
+        want = np.flatnonzero(labels == c)
+        assert ids.dtype == want.dtype and np.array_equal(ids, want)
 
 
 class TestSubsets:
@@ -673,8 +738,7 @@ def test_load_peak_is_near_the_set_arrays(tmp_path):
     # 4 x 8 input values. The loader holds one group's text beside the arrays
     # it fills; it peaked at 1.23x the arrays' bytes with 64-record groups,
     # and at 1.77x when it held 256 records' lines and one joined copy.
-    s = synthesize(SynthConfig(C=10, per_class_count=300, D=128, d_in=8, N=4,
-                               noise_scale=0.005, outlier_fraction=0.1, seed=7))
+    s = bench_set(300)
     p = tmp_path / "s.skd"
     save_student_set(s, p)
     array_bytes = sum(getattr(s, col).nbytes for col in ("labels", "outlier", "features", "inputs"))

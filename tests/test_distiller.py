@@ -276,6 +276,12 @@ class TestTraining:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1)
 
+    @pytest.mark.parametrize("field", ["learning_rate", "reg_scale"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rates_must_be_finite_and_nonnegative(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
+            TrainConfig(supervision="c", **{field: value})
+
 
 class TestEpochLogInLine:
     """The full-set log pass of epoch e runs in line, before epoch e+1 trains.
